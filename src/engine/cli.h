@@ -7,13 +7,27 @@
 // targets link only the pieces of the library they exercise.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace dcn::cli {
+
+/// Parses a whole string as a decimal uint64. nullopt for anything else
+/// — empty, signed ("-1" would wrap), trailing characters, or past
+/// UINT64_MAX — so a bad value is an error, never a silent 0 or clamp.
+inline std::optional<std::uint64_t> parse_u64(const std::string& s) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno == ERANGE || end != s.c_str() + s.size()) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
 
 /// Minimal --key value / --flag parser.
 class Args {
@@ -60,6 +74,21 @@ class Args {
       if (next == std::string::npos) next = v.size();
       if (next > pos) out.push_back(v.substr(pos, next - pos));
       pos = next + 1;
+    }
+    return out;
+  }
+
+  /// Comma-separated uint64 list (seeds); `fallback` when absent,
+  /// nullopt when any entry fails parse_u64.
+  [[nodiscard]] std::optional<std::vector<std::uint64_t>> get_u64_list(
+      const std::string& name,
+      const std::vector<std::uint64_t>& fallback) const {
+    if (get(name, "").empty()) return fallback;
+    std::vector<std::uint64_t> out;
+    for (const std::string& item : get_list(name, {})) {
+      const std::optional<std::uint64_t> v = parse_u64(item);
+      if (!v) return std::nullopt;
+      out.push_back(*v);
     }
     return out;
   }

@@ -35,16 +35,13 @@ std::vector<std::string> SolverRegistry::names() const {
 
 namespace {
 
-/// The calibrated Frank-Wolfe budget shared by every current
-/// dcfsr-family solver — the single place a recalibration lands.
+/// The calibrated Frank-Wolfe budget shared by every dcfsr-family
+/// solver — the single place a recalibration lands.
 ///
 /// v2 calibration (pairwise cold solves, the default step rule since
-/// the flip): 12 iterations at gap 1e-3. Criterion unchanged from v1:
-/// LB moves < 0.5% versus a 4x larger budget across the scenario grid
-/// (see EXPERIMENTS.md for the sweep). The pairwise sweeps certify a
-/// 2x tighter gap in fewer iterations than the classic rule's v1
-/// budget (15 / 2e-3), which was sized around the classic last-mile
-/// stall and lives on in LegacyV1FwBudget().
+/// the flip): 12 iterations at gap 1e-3. Criterion: LB moves < 0.5%
+/// versus a 4x larger budget across the scenario grid (see
+/// EXPERIMENTS.md for the sweep).
 FrankWolfeOptions CalibratedFwBudget() {
   FrankWolfeOptions fw;
   fw.max_iterations = 12;
@@ -52,18 +49,24 @@ FrankWolfeOptions CalibratedFwBudget() {
   return fw;
 }
 
-/// The v1 budget and step rule, frozen: classic joint steps at
-/// 15 / 2e-3. dcfsr_classic (and the legacy online baseline) keep the
-/// pre-flip configuration selectable for A/Bs.
-FrankWolfeOptions LegacyV1FwBudget() {
-  FrankWolfeOptions fw;
-  fw.max_iterations = 15;
-  fw.gap_tolerance = 2e-3;
-  fw.step_rule = FrankWolfeStepRule::kClassic;
-  return fw;
-}
-
 }  // namespace
+
+// Flat-latency configuration: interval-windowed re-solves plus
+// epoch-batched admission on top of the calibrated budget. The window
+// (2 time units) covers the generated workloads' span scale (~2.5 for
+// the bench poisson traces), so the residual relaxation's interval
+// decomposition stops growing with the longest remaining deadline; the
+// 0.5 epoch batches ~arrival_rate/2 arrivals per joint re-solve.
+// Trades up to 0.5 trace-time units of admission delay for a per-event
+// wall clock that stays flat into the tens of thousands of arrivals
+// (the BENCH_online sweep's 16k point).
+OnlineOptions service_options() {
+  OnlineOptions options;
+  options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();
+  options.lookahead_window = 2.0;
+  options.epoch = 0.5;
+  return options;
+}
 
 const SolverRegistry& default_registry() {
   static const SolverRegistry registry = [] {
@@ -98,22 +101,6 @@ const SolverRegistry& default_registry() {
       options.relaxation.frank_wolfe = CalibratedFwBudget();
       return std::make_unique<RandomScheduleSolver>(options);
     });
-    // The v1 configuration, frozen: classic joint steps at the old
-    // budget, so the pre-flip algorithm stays selectable for A/Bs.
-    r.add("dcfsr_classic", [] {
-      RandomScheduleOptions options;
-      options.relaxation.frank_wolfe = LegacyV1FwBudget();
-      return std::make_unique<RandomScheduleSolver>(options, "dcfsr_classic");
-    });
-    // Alias kept for grid compatibility: the adaptive parallel oracle
-    // is the default since v2, so dcfsr_mt now differs from dcfsr only
-    // in name (both are byte-identical at any thread count).
-    r.add("dcfsr_mt", [] {
-      RandomScheduleOptions options;
-      options.relaxation.frank_wolfe = CalibratedFwBudget();
-      options.relaxation.frank_wolfe.oracle_threads = 0;
-      return std::make_unique<RandomScheduleSolver>(options, "dcfsr_mt");
-    });
     r.add("ecmp_mcf", [] { return std::make_unique<EcmpMcfSolver>(); });
     r.add("greedy", [] { return std::make_unique<GreedySolver>(); });
     r.add("edf", [] { return std::make_unique<EdfSolver>(); });
@@ -126,32 +113,10 @@ const SolverRegistry& default_registry() {
       options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();
       return std::make_unique<OnlineDcfsrSolver>(options);
     });
-    // Legacy id-order admission fallback (v1 classic budget and rule
-    // throughout, cold solves included): the A/B baseline bench_online
-    // compares the RCD-style order and pairwise re-solves against.
-    r.add("online_dcfsr_id", [] {
-      OnlineOptions options;
-      options.rounding.relaxation.frank_wolfe = LegacyV1FwBudget();
-      options.warm_step_rule = FrankWolfeStepRule::kClassic;
-      options.fallback_order = FallbackAdmissionOrder::kFlowId;
-      options.departures_fast_path = false;
-      return std::make_unique<OnlineDcfsrSolver>(options, "online_dcfsr_id");
-    });
-    // Flat-latency configuration: interval-windowed re-solves plus
-    // epoch-batched admission on top of the calibrated budget. The
-    // window (2 time units) covers the generated workloads' span scale
-    // (~2.5 for the bench poisson traces), so the residual relaxation's
-    // interval decomposition stops growing with the longest remaining
-    // deadline; the 0.5 epoch batches ~arrival_rate/2 arrivals per
-    // joint re-solve. Trades up to 0.5 trace-time units of admission
-    // delay for a per-event wall clock that stays flat into the tens
-    // of thousands of arrivals (the BENCH_online sweep's 16k point).
+    // The flat scheduler on the service configuration.
     r.add("online_dcfsr_flat", [] {
-      OnlineOptions options;
-      options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();
-      options.lookahead_window = 2.0;
-      options.epoch = 0.5;
-      return std::make_unique<OnlineDcfsrSolver>(options, "online_dcfsr_flat");
+      return std::make_unique<OnlineDcfsrSolver>(service_options(),
+                                                 "online_dcfsr_flat");
     });
     // The flat configuration with deadline-safe re-rating of admitted
     // flows (PDQ-style preemption, re-rate never re-route): an arrival
@@ -161,27 +126,20 @@ const SolverRegistry& default_registry() {
     // With allow_rerate off this is online_dcfsr_flat byte for byte
     // (anchored in tests/online_differential_test.cc).
     r.add("online_dcfsr_preempt", [] {
-      OnlineOptions options;
-      options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();
-      options.lookahead_window = 2.0;
-      options.epoch = 0.5;
+      OnlineOptions options = service_options();
       options.allow_rerate = true;
       return std::make_unique<OnlineDcfsrSolver>(options,
                                                  "online_dcfsr_preempt");
     });
-    // The sharded always-on service on the flat-latency configuration:
+    // The sharded always-on service on the service configuration:
     // flows partitioned by source edge-group, shard workers re-solving
     // per group, a serial core-link coordinator arbitrating commits
     // against the global load index. shards = 0 means one lane per
     // group; the output is byte-identical for any shard count >= 2 and
-    // any worker count (topologies with a single source group delegate
-    // to the flat loop).
+    // any worker count (topologies with a single source group run the
+    // flat scheduler's single-group plan).
     r.add("online_dcfsr_sharded", [] {
-      OnlineOptions options;
-      options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();
-      options.lookahead_window = 2.0;
-      options.epoch = 0.5;
-      return std::make_unique<OnlineShardedSolver>(options);
+      return std::make_unique<OnlineShardedSolver>(service_options());
     });
     r.add("online_greedy", [] { return std::make_unique<OnlineGreedySolver>(); });
     // Hindsight admission oracle: the same calibrated budget as dcfsr,

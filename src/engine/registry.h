@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/solver.h"
+#include "online/online_scheduler.h"
 
 namespace dcn::engine {
 
@@ -49,11 +50,17 @@ class SolverRegistry {
 };
 
 /// All solvers of the library under their canonical names:
-/// mcf, mcf_paper, mcf_plain, dcfsr, dcfsr_mt, sp_mcf (alias of mcf),
-/// ecmp_mcf, greedy, edf, exact, online_dcfsr, online_dcfsr_id (the
-/// legacy online configuration — id-order fallback, classic warm
-/// steps, no departures fast path — kept as the A/B baseline),
-/// online_greedy.
+/// mcf, sp_mcf (alias of mcf), mcf_paper, mcf_plain, dcfsr, ecmp_mcf,
+/// greedy, edf, exact, online_dcfsr, online_dcfsr_flat,
+/// online_dcfsr_preempt, online_dcfsr_sharded, online_greedy,
+/// oracle_dcfsr.
 [[nodiscard]] const SolverRegistry& default_registry();
+
+/// The calibrated online service configuration: the registry's
+/// Frank-Wolfe budget (12 iterations, gap 1e-3), lookahead window 2 and
+/// admission epoch 0.5. online_dcfsr_flat, online_dcfsr_preempt (plus
+/// allow_rerate), online_dcfsr_sharded and `dcn_run --serve` all run
+/// it — the one place the service's tuning lives.
+[[nodiscard]] OnlineOptions service_options();
 
 }  // namespace dcn::engine

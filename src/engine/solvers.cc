@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "baselines/baselines.h"
-#include "common/contracts.h"
 #include "common/interval.h"
+#include "common/stats.h"
 #include "sim/replay.h"
 
 namespace dcn::engine {
@@ -18,15 +18,6 @@ namespace {
 /// replaying them against their full volumes would always fail). The
 /// full-size schedule (rejected rows empty) still travels in the
 /// outcome for inspection.
-/// Nearest-rank percentile of an unsorted sample, p in [0, 1].
-double percentile(std::vector<double>& xs, double p) {
-  DCN_EXPECTS(!xs.empty());
-  std::sort(xs.begin(), xs.end());
-  const std::size_t idx =
-      static_cast<std::size_t>(p * static_cast<double>(xs.size() - 1) + 0.5);
-  return xs[idx];
-}
-
 SolverOutcome finish_online_outcome(const std::string& solver,
                                     const Instance& instance,
                                     OnlineResult result) {
@@ -66,6 +57,30 @@ SolverOutcome finish_online_outcome(const std::string& solver,
          percentile(result.decision_latency_ms, 0.99)}};
   }
   return out;
+}
+
+/// The online_dcfsr engine's deterministic counters, shared by the flat
+/// and the sharded solver.
+std::vector<std::pair<std::string, double>> online_dcfsr_stats(
+    const OnlineResult& r) {
+  return {{"resolves", static_cast<double>(r.resolves)},
+          {"fw_iterations", static_cast<double>(r.fw_iterations)},
+          {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
+          {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
+          {"departure_gap_checks",
+           static_cast<double>(r.departure_gap_checks)},
+          {"gap_check_iterations",
+           static_cast<double>(r.gap_check_iterations)},
+          {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
+          {"first_lb", r.first_lower_bound},
+          {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
+          {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
+          {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
+          // Re-rate diagnostics (all zero unless allow_rerate):
+          // deterministic, the pass consumes no rng.
+          {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
+          {"rerate_commits", static_cast<double>(r.rerate_commits)},
+          {"rerated_flows", static_cast<double>(r.rerated_flows)}};
 }
 
 }  // namespace
@@ -244,23 +259,8 @@ SolverOutcome OnlineDcfsrSolver::solve(const Instance& instance) const {
   Rng rng = solver_rng(instance, "dcfsr");
   OnlineResult r = online_dcfsr(instance.graph(), instance.flows(),
                                 instance.model(), rng, options_);
-  const std::vector<std::pair<std::string, double>> extra = {
-      {"resolves", static_cast<double>(r.resolves)},
-      {"fw_iterations", static_cast<double>(r.fw_iterations)},
-      {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
-      {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
-      {"departure_gap_checks", static_cast<double>(r.departure_gap_checks)},
-      {"gap_check_iterations", static_cast<double>(r.gap_check_iterations)},
-      {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
-      {"first_lb", r.first_lower_bound},
-      {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
-      {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
-      {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
-      // Re-rate diagnostics (all zero unless allow_rerate):
-      // deterministic, the pass consumes no rng.
-      {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
-      {"rerate_commits", static_cast<double>(r.rerate_commits)},
-      {"rerated_flows", static_cast<double>(r.rerated_flows)}};
+  const std::vector<std::pair<std::string, double>> extra =
+      online_dcfsr_stats(r);
   SolverOutcome out = finish_online_outcome(name(), instance, std::move(r));
   out.stats.insert(out.stats.end(), extra.begin(), extra.end());
   return out;
@@ -279,32 +279,18 @@ OnlineShardedSolver::OnlineShardedSolver(OnlineOptions options,
 
 SolverOutcome OnlineShardedSolver::solve(const Instance& instance) const {
   // Same stream key as the rest of the dcfsr family: the single-lane
-  // delegating case is then online_dcfsr draw for draw.
+  // case is then online_dcfsr draw for draw.
   Rng rng = solver_rng(instance, "dcfsr");
   const ShardPlan plan =
       ShardPlan::by_source_group(instance.topology(), shards_);
   OnlineResult r =
       online_dcfsr_sharded(instance.graph(), instance.flows(),
                            instance.model(), rng, options_, plan, workers_);
-  const std::vector<std::pair<std::string, double>> extra = {
-      {"resolves", static_cast<double>(r.resolves)},
-      {"fw_iterations", static_cast<double>(r.fw_iterations)},
-      {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
-      {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
-      {"departure_gap_checks", static_cast<double>(r.departure_gap_checks)},
-      {"gap_check_iterations", static_cast<double>(r.gap_check_iterations)},
-      {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
-      {"first_lb", r.first_lower_bound},
-      {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
-      {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
-      {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
-      {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
-      {"rerate_commits", static_cast<double>(r.rerate_commits)},
-      {"rerated_flows", static_cast<double>(r.rerated_flows)},
-      // The decomposition (groups) is topology-fixed; lanes are the
-      // concurrency cap actually in effect. Both deterministic.
-      {"shard_groups", static_cast<double>(plan.num_groups())},
-      {"shard_lanes", static_cast<double>(plan.num_lanes())}};
+  std::vector<std::pair<std::string, double>> extra = online_dcfsr_stats(r);
+  // The decomposition (groups) is topology-fixed; lanes are the
+  // concurrency cap actually in effect. Both deterministic.
+  extra.emplace_back("shard_groups", static_cast<double>(plan.num_groups()));
+  extra.emplace_back("shard_lanes", static_cast<double>(plan.num_lanes()));
   SolverOutcome out = finish_online_outcome(name(), instance, std::move(r));
   out.stats.insert(out.stats.end(), extra.begin(), extra.end());
   return out;

@@ -19,7 +19,11 @@
 //   exact      Exhaustive path enumeration + MCF rates (tiny instances)
 //   online_dcfsr   event-driven rolling horizon: per-arrival admission
 //              control + warm-started incremental re-solve of the
-//              interval relaxation (src/online)
+//              interval relaxation (src/online); registered also as
+//              online_dcfsr_flat and online_dcfsr_preempt on the
+//              calibrated service options (the latter with re-rating)
+//   online_dcfsr_sharded  the same engine with flows partitioned by
+//              source edge-group (src/online/sharded.h)
 //   online_greedy  per-arrival marginal-energy routing + density-rate
 //              admission with EDF fallback (src/online)
 //   oracle_dcfsr   hindsight admission baseline: offline dcfsr over the
@@ -61,9 +65,8 @@ class McfSolver final : public Solver {
 };
 
 /// Random-Schedule (Algorithm 2): relaxation + randomized rounding.
-/// Variants (e.g. dcfsr_mt with the parallel Frank-Wolfe oracle) share
-/// the algorithm's rng stream, so every variant produces byte-identical
-/// outcomes — only the wall-clock differs.
+/// The rng is keyed to the algorithm ("dcfsr"), not the display name,
+/// so a renamed variant draws the same stream.
 class RandomScheduleSolver final : public Solver {
  public:
   explicit RandomScheduleSolver(RandomScheduleOptions options = {},
@@ -140,8 +143,8 @@ class ExactSolver final : public Solver {
 class OnlineDcfsrSolver final : public Solver {
  public:
   /// `name` distinguishes registered option variants (the registry's
-  /// "online_dcfsr_id" keeps the legacy id-order admission fallback
-  /// for A/B runs); the rng stays keyed to "dcfsr" regardless.
+  /// online_dcfsr_flat and online_dcfsr_preempt); the rng stays keyed
+  /// to "dcfsr" regardless.
   explicit OnlineDcfsrSolver(OnlineOptions options = {},
                              std::string name = "online_dcfsr");
 
@@ -163,10 +166,10 @@ class OnlineDcfsrSolver final : public Solver {
 /// across `workers` lanes), a serial core-link coordinator arbitrating
 /// every commit against the global load index in deterministic
 /// (event-time, shard-id, flow-id) order. Byte-identical for any shard
-/// count >= 2 and any worker count; single-lane plans delegate to
-/// online_dcfsr outright. The rng is keyed to "dcfsr" like every
-/// dcfsr-family solver (the delegating case then matches the flat
-/// solver's stream draw for draw).
+/// count >= 2 and any worker count; single-lane plans run the flat
+/// scheduler's single-group plan. The rng is keyed to "dcfsr" like
+/// every dcfsr-family solver (the single-lane case then matches the
+/// flat solver's stream draw for draw).
 class OnlineShardedSolver final : public Solver {
  public:
   /// `shards` = requested lane count (0: one lane per source group);

@@ -2,14 +2,14 @@
 //
 // These are the admission primitives the 1100-line online_scheduler.cc
 // monolith kept in one anonymous namespace, now a header so the split
-// translation units (online_dcfsr.cc, oracle_dcfsr.cc, online_greedy.cc,
-// edf_fill.cc, rerate.h, sharded.cc) share one definition. Everything
-// capacity-facing is templated on the load-index type: the flat loop
-// probes a single EdgeLoadIndex, the sharded service probes a
-// ShardedLoadIndex that routes each edge to its owning shard or the
-// core-link coordinator — same probe semantics, different storage
-// partition. This header is internal to src/online; the public surface
-// stays online_scheduler.h.
+// translation units (oracle_dcfsr.cc, online_greedy.cc, edf_fill.cc,
+// rerate.h, sharded.cc) share one definition. Everything
+// capacity-facing is templated on the load-index type: the greedy loop
+// and the oracle probe a single EdgeLoadIndex, the online_dcfsr engine
+// probes a ShardedLoadIndex that routes each edge to its owning shard
+// or the core-link coordinator — same probe semantics, different
+// storage partition. This header is internal to src/online; the public
+// surface stays online_scheduler.h.
 #pragma once
 
 #include <algorithm>

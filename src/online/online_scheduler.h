@@ -14,8 +14,8 @@
 //     density equals the original density and committed rates never
 //     need revision (the Theorem 4 schedule, executed online).
 //   * Admission control: a batch (or, when joint admission fails, each
-//     arrival individually, closest deadline first — RCD-style, see
-//     FallbackAdmissionOrder) is accepted iff a capacity-feasible
+//     arrival individually, closest deadline first — the RCD urgency
+//     order of Noormohammadpour et al.) is accepted iff a capacity-feasible
 //     schedule exists for the union of residual admitted demands and
 //     the new flow(s). Admitted flows are never preempted or rejected
 //     later; rejected flows are dropped at arrival (no partial
@@ -44,23 +44,25 @@
 //     run over thousands of arrivals keeps memory and per-event cost
 //     proportional to the flows actually in flight.
 //
-// Two policies:
+// Three policies:
 //
 //   online_dcfsr   On each event, re-solves the interval relaxation of
 //                  Algorithm 2 over the residual demands — warm-started
-//                  from the previous event's per-flow fractional flows,
-//                  stepping with pairwise Frank-Wolfe whenever warm
-//                  mass is carried (OnlineOptions::warm_step_rule), and
-//                  reusing one RelaxationWorkspace across the whole
-//                  run, so a re-solve costs a fraction of a cold solve —
-//                  then draws the new arrivals' paths by randomized
-//                  rounding with admitted flows pinned to their
-//                  circuits. Completions between arrivals take the
-//                  departures-only fast path (a single gap check) in
-//                  place of a full relaxation. When every flow arrives
-//                  at t = 0 this degenerates to exactly offline
-//                  Random-Schedule (asserted by
-//                  tests/online_differential_test.cc).
+//                  from the previous event's per-flow fractional flows
+//                  (pairwise Frank-Wolfe, the default step rule, sheds
+//                  the mass an arrival made suboptimal in a handful of
+//                  steps) and reusing one RelaxationWorkspace across
+//                  the whole run, so a re-solve costs a fraction of a
+//                  cold solve — then draws the new arrivals' paths by
+//                  randomized rounding with admitted flows pinned to
+//                  their circuits. Completions between arrivals take
+//                  the departures-only fast path (a single one-
+//                  iteration gap check) in place of a full relaxation.
+//                  When every flow arrives at t = 0 this degenerates to
+//                  exactly offline Random-Schedule (asserted by
+//                  tests/online_differential_test.cc). The event body
+//                  is the sharded service's (online/sharded.h) over a
+//                  single-group plan: one engine serves both.
 //   online_greedy  No re-solve: each arrival is routed on the path of
 //                  minimum marginal energy against the committed load
 //                  (the greedy baseline's rule) and admitted at its
@@ -101,40 +103,12 @@
 
 namespace dcn {
 
-/// Order in which the per-flow admission fallback tries an arrival
-/// batch after joint batch admission fails.
-enum class FallbackAdmissionOrder : std::int32_t {
-  /// Closest deadline first, then higher density, then id — the
-  /// RCD-style urgency order (Noormohammadpour et al.): urgent, hard-
-  /// to-place flows draw their paths while the committed load is
-  /// lightest, instead of burning the batch's admission budget on
-  /// whichever flows happened to get low ids.
-  kDeadlineDensity = 0,
-  /// Ascending flow id (the historical order; kept for A/B runs).
-  kFlowId = 1,
-};
-
 struct OnlineOptions {
   /// Relaxation + rounding knobs of the per-event re-solve
   /// (online_dcfsr only). The rounding attempt budget doubles as the
-  /// per-event admission budget.
+  /// per-event admission budget; the configured step rule drives every
+  /// re-solve, warm or cold.
   RandomScheduleOptions rounding;
-  /// Step rule for re-solves that carry warm mass (at least one
-  /// admitted flow still in flight). Pairwise Frank-Wolfe sheds the
-  /// mass an arrival made suboptimal in a handful of steps; events
-  /// with nothing carried (the first event in particular) always use
-  /// the configured rounding.relaxation rule, which keeps the
-  /// all-at-t=0 degenerate case bit-identical to offline dcfsr.
-  FrankWolfeStepRule warm_step_rule = FrankWolfeStepRule::kPairwise;
-  /// Per-flow admission order after a failed joint batch admission.
-  FallbackAdmissionOrder fallback_order = FallbackAdmissionOrder::kDeadlineDensity;
-  /// Departures-only fast path: when admitted flows completed strictly
-  /// between two arrival events, the carried problem changed by
-  /// removal only and the remaining warm rows stay feasible — instead
-  /// of a full relaxation the completion point gets a single gap check
-  /// (a one-iteration warm re-solve) that certifies the rows or
-  /// improves them one step against the freed capacity.
-  bool departures_fast_path = true;
   /// Lookahead window W for the per-event re-solves (online_dcfsr
   /// only); 0 keeps today's full-horizon behavior bit for bit. With
   /// W > 0 every residual flow whose deadline lies past now + W enters
@@ -176,8 +150,8 @@ struct OnlineOptions {
   /// the audit shadow on, packet-sim replayed). Re-rated flows re-enter
   /// subsequent relaxations pinned to their paths with residual-size
   /// demands (their warm rows are dropped: the rows route the original
-  /// density, which a reshaped profile no longer has). false is
-  /// byte-identical to the plain event loop.
+  /// density, which a reshaped profile no longer has). With false no
+  /// committed profile is ever reshaped.
   bool allow_rerate = false;
   /// Differential audit: the EdgeLoadIndex keeps a naive never-pruned
   /// StepFunction shadow and cross-checks every probe bitwise (tests;
@@ -267,9 +241,13 @@ struct OnlineResult {
     const std::vector<bool>& admitted);
 
 /// Runs the online loop with per-event relaxation re-solves (see file
-/// comment). `rng` drives the randomized rounding; passing the offline
-/// dcfsr stream makes the all-arrivals-at-t=0 case bit-identical to
-/// offline Random-Schedule.
+/// comment): the sharded engine over ShardPlan::single_group, with
+/// `rng` as the group's stream. `rng` drives the randomized rounding;
+/// passing the offline dcfsr stream makes the all-arrivals-at-t=0 case
+/// bit-identical to offline Random-Schedule. Ties between in-flight
+/// flows with equal deadlines break by arrival order (release, then
+/// id), which is the caller's index order whenever flow ids follow
+/// release order — true of every generated scenario.
 [[nodiscard]] OnlineResult online_dcfsr(const Graph& g,
                                         const std::vector<Flow>& flows,
                                         const PowerModel& model, Rng& rng,

@@ -2,10 +2,10 @@
 //
 // Split out of the online monolith as its own unit: the deadline-safe
 // PDQ-style pass that reshapes in-flight flows' *future* rate profiles
-// behind a commit barrier. Templated on the load-index type so the flat
-// event loop (EdgeLoadIndex) and the sharded service (ShardedLoadIndex,
-// one pass per shard over the shard's own active set against the global
-// index) run the identical transaction.
+// behind a commit barrier. Templated on the load-index type like the
+// rest of the admission core; the online_dcfsr engine runs it over its
+// ShardedLoadIndex, one pass per shard over the shard's own active set
+// against the global index.
 #pragma once
 
 #include <cstddef>
@@ -191,8 +191,8 @@ bool try_rerate(OnlineResult& out, Index& load, const std::vector<Flow>& flows,
     fs.segments = std::move(stitched);
     if (!rerated[c.i]) ++out.rerated_flows;
     rerated[c.i] = 1;
-    warm[c.i] = {};
-    warm_atoms[c.i] = {};
+    warm[c.i] = SparseEdgeFlow();  // move-assign: releases the capacity
+    warm_atoms[c.i] = AtomSet();
   }
   ++out.rerate_commits;
   return true;

@@ -57,10 +57,23 @@ ShardPlan ShardPlan::by_source_group(const Topology& topo,
   return plan;
 }
 
+ShardPlan ShardPlan::single_group(std::int32_t num_nodes,
+                                  std::int32_t num_edges) {
+  ShardPlan plan;
+  plan.host_group_.assign(static_cast<std::size_t>(num_nodes), 0);
+  plan.edge_owner_.assign(static_cast<std::size_t>(num_edges), -1);
+  plan.num_groups_ = 1;
+  plan.num_lanes_ = 1;
+  return plan;
+}
+
 ShardedLoadIndex::ShardedLoadIndex(const ShardPlan& plan,
                                    std::int32_t num_edges, bool audit)
     : owner_(&plan.edge_owner()), coordinator_(num_edges, audit) {
   DCN_EXPECTS(static_cast<std::int32_t>(owner_->size()) == num_edges);
+  privates_own_edges_ = std::any_of(owner_->begin(), owner_->end(),
+                                    [](std::int32_t o) { return o >= 0; });
+  if (!privates_own_edges_) return;  // the coordinator owns every edge
   privates_.reserve(static_cast<std::size_t>(plan.num_groups()));
   for (std::int32_t gid = 0; gid < plan.num_groups(); ++gid) {
     privates_.emplace_back(num_edges, audit);

@@ -4,7 +4,7 @@
 //
 // ShardPlan groups hosts by their attachment (edge) switch — the
 // pod-local unit RCD's near-deadline locality argument justifies — and
-// assigns each group to an execution lane (lane = group % shards).
+// caps how many groups run at once (the lane count).
 // Crucially the *decomposition* is a function of the topology alone:
 // shard and worker counts only choose how many groups run concurrently,
 // never which flows share a relaxation, so the sharded scheduler's
@@ -39,10 +39,16 @@ class ShardPlan {
   /// Partition by source edge-group (attachment switch). `num_shards`
   /// is the requested lane count: 0 means one lane per group, values
   /// above the group count are clamped, and 1 yields a single-lane plan
-  /// (the sharded scheduler delegates that case to the flat loop so "1
+  /// (the sharded scheduler runs that case on single_group, so "1
   /// shard" matches online_dcfsr_flat byte for byte).
   [[nodiscard]] static ShardPlan by_source_group(const Topology& topo,
                                                  std::int32_t num_shards);
+
+  /// The flat scheduler's plan: every node in group 0, one lane, every
+  /// edge coordinator-owned — one relaxation over all flows in flight
+  /// and one load index, which is what online_dcfsr runs on.
+  [[nodiscard]] static ShardPlan single_group(std::int32_t num_nodes,
+                                              std::int32_t num_edges);
 
   /// Distinct source groups (edge switches with attached hosts).
   [[nodiscard]] std::int32_t num_groups() const { return num_groups_; }
@@ -63,10 +69,6 @@ class ShardPlan {
     return edge_owner_;
   }
 
-  [[nodiscard]] std::int32_t lane_of_group(std::int32_t g) const {
-    return g % num_lanes_;
-  }
-
  private:
   std::vector<std::int32_t> host_group_;  // by NodeId; -1 for non-hosts
   std::vector<std::int32_t> edge_owner_;  // by EdgeId; -1 = coordinator
@@ -78,10 +80,11 @@ class ShardPlan {
 /// per group (its hosts' uplinks), one for the coordinator (everything
 /// shared). Same probe API as EdgeLoadIndex — every call routes to the
 /// sub-index owning the edge — so the admission templates in
-/// admission_core.h / rerate.h instantiate over either. shadow() is
-/// nullptr (each sub-index audits its own probes bitwise in audit mode;
-/// there is no combined naive replay to diff a cross-shard fill
-/// against).
+/// admission_core.h / rerate.h instantiate over either. In audit mode
+/// each sub-index checks its own probes bitwise; shadow() exposes the
+/// coordinator's naive replay when the coordinator owns every edge (a
+/// single_group plan), and is nullptr otherwise — there is no combined
+/// replay to diff a cross-shard fill against.
 class ShardedLoadIndex {
  public:
   ShardedLoadIndex(const ShardPlan& plan, std::int32_t num_edges, bool audit);
@@ -114,7 +117,7 @@ class ShardedLoadIndex {
   [[nodiscard]] std::int32_t peak_live_segments() const;
   [[nodiscard]] std::int64_t segments_pruned() const;
   [[nodiscard]] const std::vector<StepFunction>* shadow() const {
-    return nullptr;
+    return privates_own_edges_ ? nullptr : coordinator_.shadow();
   }
 
  private:
@@ -132,6 +135,7 @@ class ShardedLoadIndex {
   const std::vector<std::int32_t>* owner_;  // plan's edge_owner
   std::vector<EdgeLoadIndex> privates_;     // one per group
   EdgeLoadIndex coordinator_;
+  bool privates_own_edges_ = false;  // some edge is group-private
 };
 
 }  // namespace dcn

@@ -1,8 +1,8 @@
-// The sharded scheduling engine (see sharded.h for the service shape
-// and sharded_service.cc for the batch/stream entry points). Phase A
-// mirrors the flat event loop's per-event body — completions, gap
-// check, residual build, warm re-solve, joint rounding draw — run per
-// source group over the group's own state; Phase B is the core-link
+// The online scheduling engine (see sharded.h for the service shape
+// and sharded_service.cc for the batch/stream entry points, the flat
+// online_dcfsr among them). Phase A is the per-event body — completions,
+// gap check, residual build, warm re-solve, joint rounding draw — run
+// per source group over the group's own state; Phase B is the core-link
 // coordinator: serial, ascending group id, every drawn path verified
 // against the global load index before it commits.
 #include "online/sharded.h"
@@ -27,12 +27,14 @@ using online_impl::remaining_volume;
 using online_impl::ReachabilityCache;
 using online_impl::try_rerate;
 
-/// A shard worker's long-lived state: its admitted in-flight flows and
-/// their releases (the same indexed structures the flat loop keeps,
-/// scoped to the group), the relaxation workspace reused across its
-/// re-solves, its private rng stream (one deterministic mix per group,
-/// independent of lane/worker placement), and its reachability cache
-/// (sound per group: flows are partitioned by source).
+/// A shard worker's long-lived state: its admitted in-flight flows
+/// keyed by (deadline, slot) — completions pop off the front, the
+/// residual problem reads the set in deadline order — and their
+/// releases (a multiset, so the low-water mark updates in O(log n)),
+/// the relaxation workspace reused across its re-solves, its private
+/// rng stream (one deterministic mix per group, independent of
+/// lane/worker placement), and its reachability cache (sound per
+/// group: flows are partitioned by source).
 struct ShardedScheduler::GroupState {
   GroupState(const Graph& g, Rng group_rng)
       : rng(group_rng), reach(g) {}
@@ -101,6 +103,10 @@ ShardedScheduler::ShardedScheduler(const Graph& g, const PowerModel& model,
 
 ShardedScheduler::~ShardedScheduler() = default;
 
+Rng& ShardedScheduler::group_rng(std::int32_t gid) {
+  return groups_[static_cast<std::size_t>(gid)]->rng;
+}
+
 std::int32_t ShardedScheduler::in_flight() const {
   std::size_t total = 0;
   for (const auto& gp : groups_) total += gp->active.size();
@@ -119,8 +125,9 @@ void ShardedScheduler::release_warm(std::size_t slot) {
 }
 
 double ShardedScheduler::residual_volume(std::size_t slot, double t) const {
-  // The density invariant for untouched flows, the committed profile's
-  // actual remainder once re-rated (same rule as the flat loop).
+  // The density invariant for untouched flows (the density schedule
+  // leaves the residual density unchanged), the committed profile's
+  // actual remainder once re-rated.
   return rerated_[slot]
              ? remaining_volume(flows_[slot], out_.schedule.flows[slot], t)
              : flows_[slot].density() * (flows_[slot].deadline - t);
@@ -148,10 +155,14 @@ void ShardedScheduler::phase_a(GroupState& gs,
     }
   }
 
-  // Departures-only fast path, per group (same certification the flat
-  // loop runs; survivors and warm rows are the group's own).
-  if (options_.departures_fast_path && std::isfinite(depart) &&
-      !gs.active.empty()) {
+  // Departures-only fast path. The completions changed the group's
+  // carried problem by removal only: the surviving warm rows stay
+  // feasible, so instead of a full relaxation the latest completion
+  // time gets a single gap check — a one-iteration warm re-solve that
+  // certifies the rows or sheds one step of mass onto the freed
+  // capacity. With a finite lookahead the survivors are clipped to
+  // [depart, depart + W] like any re-solve.
+  if (std::isfinite(depart) && !gs.active.empty()) {
     std::vector<Flow> survivors;
     std::vector<std::size_t> surviving;
     std::vector<SparseEdgeFlow> gap_rows;
@@ -184,7 +195,6 @@ void ShardedScheduler::phase_a(GroupState& gs,
     }
     RelaxationOptions gap_options = options_.rounding.relaxation;
     gap_options.frank_wolfe.max_iterations = 1;
-    gap_options.frank_wolfe.step_rule = options_.warm_step_rule;
     FractionalRelaxation check =
         solve_relaxation(g_, survivors, model_, gap_options, &gs.workspace,
                          &gap_rows, &gap_atoms);
@@ -229,9 +239,12 @@ void ShardedScheduler::phase_a(GroupState& gs,
   }
   if (p.residual.empty()) return;  // p.solved stays false
 
-  // Warm-started re-solve over the group's shifted horizon, windowed
-  // exactly like the flat loop (admission below still checks true
-  // spans, so the window never affects soundness).
+  // Warm-started re-solve over the group's shifted horizon. Flows whose
+  // deadlines lie past now + W enter the *relaxation* clipped to the
+  // window at their original densities; admission below still checks
+  // the true spans, so the window never affects soundness. With no
+  // flow reaching past the horizon the relaxation sees the residual
+  // vector itself.
   std::vector<SparseEdgeFlow> warm_rows(p.residual.size());
   std::vector<AtomSet> warm_atom_rows(p.residual.size());
   for (std::size_t r = 0; r < p.residual.size(); ++r) {
@@ -260,12 +273,9 @@ void ShardedScheduler::phase_a(GroupState& gs,
       relax_flows = &clipped;
     }
   }
-  RelaxationOptions relax_options = options_.rounding.relaxation;
-  if (p.first_new > 0) {
-    relax_options.frank_wolfe.step_rule = options_.warm_step_rule;
-  }
-  p.relax = solve_relaxation(g_, *relax_flows, model_, relax_options,
-                             &gs.workspace, &warm_rows, &warm_atom_rows);
+  p.relax = solve_relaxation(g_, *relax_flows, model_,
+                             options_.rounding.relaxation, &gs.workspace,
+                             &warm_rows, &warm_atom_rows);
   p.solved = true;
   p.fw_iterations += p.relax.total_fw_iterations;
   p.fw_stats += p.relax.fw_stats;
@@ -294,16 +304,12 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   if (!p.solved) return;
   ++out_.resolves;
   out_.fw_iterations += p.fw_iterations;
-  if (!first_lb_set_) {
-    out_.first_lower_bound = p.lower_bound;
-    first_lb_set_ = true;
-  }
+  if (out_.resolves == 1) out_.first_lower_bound = p.lower_bound;
 
   auto admit_into_index = [&](std::size_t i) {
     gs.active.emplace(flows_[i].deadline, i);
     gs.live_releases.insert(flows_[i].release);
   };
-  auto release_rejected = [&](std::size_t i) { release_warm(i); };
 
   // Per-flow fallback against the global committed load: fresh draws
   // from the group's stream, then — with allow_rerate — deterministic
@@ -352,10 +358,16 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   if (p.draw.capacity_feasible) {
     // Coordinator arbitration: the group's joint capacity check covered
     // only its own residual timeline — shared aggregation/core edges
-    // carry other groups' committed load it never saw. Every drawn path
-    // is therefore verified against the global index, in residual
+    // carry other groups' committed load it never saw, and a re-rated
+    // profile's committed acceleration is understated by the flat
+    // residual density the timeline assumes. Every drawn path is
+    // therefore verified against the global index, in residual
     // (event-time, shard-id, flow-id) order, before it commits; flows
-    // the arbitration displaces go through the per-flow fallback.
+    // the arbitration displaces go through the per-flow fallback. With
+    // a single group and nothing re-rated the check never fails (the
+    // sequential probes see a subset of the joint timeline under the
+    // same slack), so the flat scheduler admits exactly what the joint
+    // rounding drew.
     std::vector<std::size_t> leftover;
     for (std::size_t r = p.first_new; r < p.residual.size(); ++r) {
       const Flow& fl = flows_[p.orig[r]];
@@ -371,29 +383,31 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
     for (const std::size_t r : leftover) {
       if (!place_arrival(r)) {
         ++out_.num_rejected;
-        release_rejected(p.orig[r]);
+        release_warm(p.orig[r]);
       }
     }
     return;
   }
 
   // The group's joint admission failed within its attempt budget: admit
-  // its batch share one flow at a time (RCD urgency order by default).
+  // its batch share one flow at a time, each against the committed load
+  // only — so one unroutable elephant cannot veto a batch of mice — in
+  // RCD urgency order (closest deadline first, then denser, then id):
+  // urgent, hard-to-place flows draw while the committed load is
+  // lightest.
   ++out_.batch_fallbacks;
   std::vector<std::size_t> fallback_order;
   for (std::size_t r = p.first_new; r < p.residual.size(); ++r) {
     fallback_order.push_back(r);
   }
-  if (options_.fallback_order == FallbackAdmissionOrder::kDeadlineDensity) {
-    std::sort(fallback_order.begin(), fallback_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return rcd_before(flows_[p.orig[a]], flows_[p.orig[b]]);
-              });
-  }
+  std::sort(fallback_order.begin(), fallback_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return rcd_before(flows_[p.orig[a]], flows_[p.orig[b]]);
+            });
   for (const std::size_t r : fallback_order) {
     if (!place_arrival(r)) {
       ++out_.num_rejected;
-      release_rejected(p.orig[r]);
+      release_warm(p.orig[r]);
     }
   }
 }
@@ -466,9 +480,10 @@ void ShardedScheduler::process_batch(double now,
     for (std::size_t t = 0; t < affected_.size(); ++t) run_group(t, 0);
   }
 
-  // Prune between phases — completions popped, commits not yet placed —
-  // which is exactly the flat loop's prune point. The mark is global:
-  // min(now, earliest live release across every group).
+  // Prune between phases — completions popped, commits not yet placed.
+  // Departed history is dead weight for every later probe, and folding
+  // it away keeps probe cost flat as the stream grows. The mark is
+  // global: min(now, earliest live release across every group).
   double earliest = now;
   for (const auto& gp : groups_) {
     if (!gp->live_releases.empty()) {

@@ -27,9 +27,10 @@
 //
 // The decomposition (which flows solve together) is fixed by the
 // topology via ShardPlan, so results are byte-identical for any shard
-// count >= 2 and any worker count; a 1-shard plan delegates to the
-// flat loop (online_dcfsr) outright and is byte-identical to
-// online_dcfsr_flat under that solver's options.
+// count >= 2 and any worker count. This is also the flat scheduler:
+// online_dcfsr is this engine over ShardPlan::single_group on the
+// caller's rng, and a 1-shard plan runs the same, so "1 shard" is
+// online_dcfsr_flat byte for byte under that solver's options.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +89,11 @@ class ShardedScheduler {
   [[nodiscard]] std::int32_t peak_live_segments() const;
   [[nodiscard]] std::int64_t load_segments_pruned() const;
 
+  /// Group `gid`'s rng stream. The single-group runs swap the caller's
+  /// rng in before the first batch and copy it back after the last, so
+  /// the caller's stream advances exactly as the event body draws.
+  [[nodiscard]] Rng& group_rng(std::int32_t gid);
+
  private:
   struct GroupState;
   struct Proposal;
@@ -109,9 +115,10 @@ class ShardedScheduler {
   std::vector<std::unique_ptr<GroupState>> groups_;
   std::unique_ptr<WorkerPool> pool_;  // phase A lanes; null = serial
 
-  // Slot-indexed state (slot = feed order), exactly the flat loop's
-  // per-flow vectors. Phase A touches only its own group's slots, so
-  // parallel groups never alias.
+  // Slot-indexed per-flow state (slot = feed order). Warm rows and path
+  // atoms are released the moment a flow departs or is rejected, so the
+  // carried state stays proportional to the flows in flight. Phase A
+  // touches only its own group's slots, so parallel groups never alias.
   std::vector<Flow> flows_;
   std::vector<SparseEdgeFlow> warm_;
   std::vector<AtomSet> warm_atoms_;
@@ -121,7 +128,6 @@ class ShardedScheduler {
   ShardedLoadIndex load_;
   OnlineResult out_;
   std::int64_t completed_ = 0;
-  bool first_lb_set_ = false;
 
   // Per-batch scratch, reused across events.
   std::vector<std::vector<std::size_t>> batch_slots_;
@@ -131,11 +137,12 @@ class ShardedScheduler {
 /// Batch-API entry point, registered as `online_dcfsr_sharded`: runs
 /// the sharded service over a materialized trace and returns a result
 /// indexed like the input (drop-in comparable with online_dcfsr).
-/// Plans with a single lane or a single source group delegate to
-/// online_dcfsr on the caller's rng stream — byte-identical to the
-/// flat loop under the same options. With >= 2 lanes the output is a
-/// pure function of (inputs, plan groups): byte-identical for any
-/// shard count >= 2 and any `workers` (0 = min(hardware, lanes)).
+/// Plans with a single lane or a single source group run on
+/// ShardPlan::single_group with the caller's rng as the group's stream
+/// — exactly online_dcfsr under the same options. With >= 2 lanes one
+/// draw from `rng` seeds the per-group streams and the output is a pure
+/// function of (inputs, plan groups): byte-identical for any shard
+/// count >= 2 and any `workers` (0 = min(hardware, lanes)).
 [[nodiscard]] OnlineResult online_dcfsr_sharded(
     const Graph& g, const std::vector<Flow>& flows, const PowerModel& model,
     Rng& rng, const OnlineOptions& options, const ShardPlan& plan,

@@ -129,22 +129,6 @@ TEST(BatchRunner, OnlineScenariosAreByteIdenticalAcrossJobs) {
   EXPECT_TRUE(serial.all_feasible());
 }
 
-TEST(BatchRunner, ParallelOracleVariantIsByteIdenticalToDcfsr) {
-  // dcfsr_mt differs from dcfsr only in how the Frank-Wolfe oracle is
-  // scheduled (worker pool vs sequential); the outcome must be
-  // byte-identical — same rng stream, same relaxation, same rounding.
-  ScenarioOptions options;
-  options.num_flows = 12;
-  const Instance instance =
-      ScenarioSuite::default_suite().build("fat_tree/paper", 3, options);
-  const SolverOutcome a = default_registry().create("dcfsr")->solve(instance);
-  const SolverOutcome b = default_registry().create("dcfsr_mt")->solve(instance);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.lower_bound, b.lower_bound);
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_EQ(a.stats, b.stats);
-}
-
 TEST(BatchRunner, OversubscribedThreadsStillDeterministic) {
   BatchSpec spec = small_spec();
   spec.solvers = {"edf", "greedy"};

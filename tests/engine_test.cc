@@ -2,9 +2,13 @@
 // and the solver adapters' replay-validated outcomes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/contracts.h"
+#include "engine/cli.h"
 #include "engine/instance.h"
 #include "engine/registry.h"
 #include "engine/scenario.h"
@@ -17,16 +21,41 @@ namespace {
 TEST(SolverRegistry, DefaultRegistryCarriesEveryAlgorithm) {
   const SolverRegistry& registry = default_registry();
   for (const char* name :
-       {"mcf", "mcf_paper", "mcf_plain", "sp_mcf", "dcfsr", "dcfsr_classic",
-        "dcfsr_mt", "ecmp_mcf", "greedy", "edf", "exact", "online_dcfsr",
-        "online_dcfsr_id", "online_dcfsr_flat", "online_dcfsr_preempt",
-        "online_dcfsr_sharded", "online_greedy", "oracle_dcfsr"}) {
+       {"mcf", "mcf_paper", "mcf_plain", "sp_mcf", "dcfsr", "ecmp_mcf",
+        "greedy", "edf", "exact", "online_dcfsr", "online_dcfsr_flat",
+        "online_dcfsr_preempt", "online_dcfsr_sharded", "online_greedy",
+        "oracle_dcfsr"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const std::unique_ptr<Solver> solver = registry.create(name);
     EXPECT_EQ(solver->name(), name);
     EXPECT_FALSE(solver->description().empty());
   }
-  EXPECT_EQ(registry.size(), 18u);
+  EXPECT_EQ(registry.size(), 15u);
+}
+
+TEST(CliArgs, SeedsParseAsWholeUint64) {
+  // Scenario seeds span the full uint64 range: one above INT64_MAX must
+  // round-trip, and anything but a whole decimal uint64 is rejected
+  // instead of reading as 0, wrapping, or clamping.
+  auto seeds_of = [](const char* value) {
+    const char* argv[] = {"dcn_run", "--seeds", value};
+    return cli::Args(3, const_cast<char**>(argv)).get_u64_list("seeds", {1});
+  };
+  const auto big = seeds_of("16310858477795150872");
+  ASSERT_TRUE(big.has_value());
+  ASSERT_EQ(big->size(), 1u);
+  EXPECT_EQ(std::to_string(big->front()), "16310858477795150872");
+  const auto list = seeds_of("1,18446744073709551615");
+  ASSERT_TRUE(list.has_value());
+  EXPECT_EQ(*list, (std::vector<std::uint64_t>{1, 18446744073709551615ULL}));
+  for (const char* bad :
+       {"abc", "-1", "+1", "12abc", " 7", "18446744073709551616", "1,x"}) {
+    EXPECT_FALSE(seeds_of(bad).has_value()) << bad;
+  }
+  // Absent flag: the fallback.
+  const char* argv[] = {"dcn_run"};
+  EXPECT_EQ(cli::Args(1, const_cast<char**>(argv)).get_u64_list("seeds", {7}),
+            (std::vector<std::uint64_t>{7}));
 }
 
 TEST(SolverRegistry, UnknownSolverThrowsWithCatalogue) {

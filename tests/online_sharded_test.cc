@@ -5,8 +5,9 @@
 // concurrently, and the coordinator commits in (event-time, group-id,
 // flow-id) order — so the full OnlineResult (admitted set, schedule,
 // every deterministic counter) must be byte-identical for any shard
-// count >= 2 and any worker count. Single-lane plans delegate to the
-// flat loop outright, so "1 shard" is online_dcfsr byte for byte. On
+// count >= 2 and any worker count. online_dcfsr is the same engine over
+// ShardPlan::single_group on the caller's rng, and single-lane plans
+// run that plan too, so "1 shard" is online_dcfsr byte for byte. On
 // pod-local traffic (flows that never leave their source group, one
 // group active at a time) the per-group re-solves see exactly the
 // residual the flat loop's global re-solve sees, so the *schedule*
@@ -31,6 +32,7 @@
 #include "online/shard_plan.h"
 #include "online/sharded.h"
 #include "sim/replay.h"
+#include "topology/builders.h"
 
 namespace dcn::engine {
 namespace {
@@ -122,8 +124,9 @@ TEST_F(OnlineShardedTest, ByteIdenticalForAnyShardAndWorkerCount) {
 }
 
 TEST_F(OnlineShardedTest, SingleLanePlanIsFlatSchedulerByteForByte) {
-  // num_shards = 1 delegates to online_dcfsr with the caller's own rng:
-  // literal equality on every property-sweep scenario family.
+  // num_shards = 1 runs the single-group plan on the caller's own rng,
+  // as online_dcfsr does: literal equality on every property-sweep
+  // scenario family, and both leave the caller's stream in one state.
   for (const char* spec : {"fat_tree/poisson", "leaf_spine/hadoop"}) {
     for (const std::uint64_t seed : {1, 2, 3}) {
       ScenarioOptions scen;
@@ -142,7 +145,85 @@ TEST_F(OnlineShardedTest, SingleLanePlanIsFlatSchedulerByteForByte) {
           /*workers=*/4);
       ExpectSameResult(flat, sharded,
                        std::string(spec) + " seed " + std::to_string(seed));
+      EXPECT_EQ(rng_flat(), rng_sharded()) << spec << " seed " << seed;
     }
+  }
+}
+
+TEST_F(OnlineShardedTest, FlatSchedulerDrawsFromTheCallersRng) {
+  // The single-group run swaps the caller's rng in as the group stream
+  // and hands it back: on an all-at-t=0 trace with ample capacity the
+  // one event is offline Random-Schedule, so the caller's stream must
+  // end exactly where offline dcfsr leaves the same stream.
+  const Instance instance = suite_.build("fat_tree/incast", 11);
+  OnlineOptions options;
+  options.rounding.relaxation.frank_wolfe.max_iterations = 12;
+  options.rounding.relaxation.frank_wolfe.gap_tolerance = 1e-3;
+
+  Rng rng_offline = solver_rng(instance, "dcfsr");
+  const RandomScheduleResult offline =
+      random_schedule(instance.graph(), instance.flows(), instance.model(),
+                      rng_offline, options.rounding);
+  ASSERT_TRUE(offline.capacity_feasible);
+  Rng rng_online = solver_rng(instance, "dcfsr");
+  const OnlineResult online =
+      online_dcfsr(instance.graph(), instance.flows(), instance.model(),
+                   rng_online, options);
+  EXPECT_EQ(online.num_events, 1);
+  EXPECT_EQ(online.num_rejected, 0);
+  EXPECT_EQ(rng_online(), rng_offline());
+}
+
+TEST_F(OnlineShardedTest, SingleGroupIndexExposesTheAuditShadow) {
+  // edf_fill's audit cross-check reads the index's shadow(): the
+  // single-group plan's coordinator owns every edge, so its shadow is
+  // the whole naive replay and must track a plain EdgeLoadIndex fed the
+  // same adds and retracts. A source-group plan splits edges across
+  // sub-indexes and exposes none.
+  const Topology topo = fat_tree(4);
+  const Graph& g = topo.graph();
+  const ShardPlan groups = ShardPlan::by_source_group(topo, 0);
+  EXPECT_EQ(ShardedLoadIndex(groups, g.num_edges(), true).shadow(), nullptr);
+
+  const ShardPlan single =
+      ShardPlan::single_group(g.num_nodes(), g.num_edges());
+  EXPECT_EQ(single.num_groups(), 1);
+  EXPECT_EQ(single.num_lanes(), 1);
+  EXPECT_EQ(ShardedLoadIndex(single, g.num_edges(), false).shadow(), nullptr);
+  ShardedLoadIndex sharded(single, g.num_edges(), /*audit=*/true);
+  EdgeLoadIndex reference(g.num_edges(), /*audit=*/true);
+  ASSERT_NE(sharded.shadow(), nullptr);
+
+  Rng rng(5);
+  struct Op {
+    EdgeId e;
+    Interval iv;
+    double rate;
+  };
+  std::vector<Op> added;
+  for (int k = 0; k < 200; ++k) {
+    if (!added.empty() && k % 3 == 2) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(added.size()) - 1));
+      const Op op = added[pick];
+      sharded.retract(op.e, op.iv, op.rate);
+      reference.retract(op.e, op.iv, op.rate);
+      added.erase(added.begin() + static_cast<std::ptrdiff_t>(pick));
+      continue;
+    }
+    const auto e =
+        static_cast<EdgeId>(rng.uniform_int(0, g.num_edges() - 1));
+    const double lo = rng.uniform(0.0, 10.0);
+    const Op op{e, {lo, lo + rng.uniform(0.1, 3.0)}, rng.uniform(0.1, 2.0)};
+    sharded.add(op.e, op.iv, op.rate);
+    reference.add(op.e, op.iv, op.rate);
+    added.push_back(op);
+  }
+  const std::vector<StepFunction>& got = *sharded.shadow();
+  const std::vector<StepFunction>& want = *reference.shadow();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    EXPECT_EQ(got[e].segments(), want[e].segments()) << "edge " << e;
   }
 }
 

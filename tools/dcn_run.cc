@@ -15,8 +15,9 @@
 //                      except exact (name it explicitly to include the
 //                      exhaustive solver, which refuses big instances) [mcf]
 //   --scenario s,..    "<topology>/<workload>" specs      [fat_tree/paper]
-//   --seed n           single seed                        [1]
-//   --seeds a,b,..     seed list (overrides --seed)
+//   --seed n           single seed (decimal uint64)       [1]
+//   --seeds a,b,..     seed list (overrides --seed); a seed that is not
+//                      a whole decimal uint64 exits 2
 //   --jobs n           worker threads                     [1]
 //   --flows n          flow count (paper/slack/permutation/online)
 //   --alpha x          power exponent                     [2]
@@ -37,7 +38,8 @@
 // materialized, so 100k+ arrivals run in bounded memory. The stream
 // reproduces, flow for flow, the trace the scenario would materialize
 // with the same seed and knobs, and the scheduler consumes the same
-// rng stream as the online_dcfsr_sharded batch solver.
+// rng stream as the online_dcfsr_sharded batch solver, on the same
+// calibrated service options (engine::service_options).
 //
 //   dcn_run --serve --scenario fat_tree8/poisson --seed 1
 //           --arrivals 100000 --rate 8 --capacity 3 --flush-every 10000
@@ -46,21 +48,20 @@
 //   --arrivals n       arrivals to stream                  [10000]
 //   --shards n         shard lanes (0 = one per source group) [0]
 //   --workers n        phase-A threads (0 = hardware)      [0]
-//   --epoch x          admission epoch                     [0.5]
-//   --window x         lookahead window                    [2]
 //   --flush-every n    arrivals between stats flushes (0 = off) [10000]
 //   --rerate           enable deadline-safe re-rating
 //   --audit            load-index audit shadow + warm-state sweeps (slow)
 //
 // Exit status: 0 when every cell produced a replay-validated schedule
 // (batch mode) / the stream drained (serve mode).
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/stats.h"
 #include "engine/batch_runner.h"
 #include "engine/cli.h"
 #include "online/event_stream.h"
@@ -68,12 +69,22 @@
 
 namespace {
 
-double latency_percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const std::size_t idx =
-      static_cast<std::size_t>(p * static_cast<double>(xs.size() - 1) + 0.5);
-  return xs[idx];
+/// The run's seeds: --seeds (batch mode only) or the single --seed,
+/// each a whole decimal uint64. nullopt, after a message, otherwise.
+std::optional<std::vector<std::uint64_t>> seed_args(const dcn::cli::Args& args,
+                                                    bool allow_list) {
+  const bool list = allow_list && !args.get("seeds", "").empty();
+  const char* flag = list ? "seeds" : "seed";
+  std::optional<std::vector<std::uint64_t>> seeds =
+      args.get_u64_list(flag, {1});
+  if (!seeds || seeds->empty() || (!list && seeds->size() != 1)) {
+    std::fprintf(stderr,
+                 "dcn_run: --%s must be %s decimal uint64%s, got \"%s\"\n",
+                 flag, list ? "a list of" : "one", list ? "s" : "",
+                 args.get(flag, "").c_str());
+    return std::nullopt;
+  }
+  return seeds;
 }
 
 int run_serve(const dcn::cli::Args& args,
@@ -82,7 +93,10 @@ int run_serve(const dcn::cli::Args& args,
   using namespace dcn::engine;
 
   const std::string spec = args.get("scenario", "fat_tree8/poisson");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::optional<std::vector<std::uint64_t>> seeds =
+      seed_args(args, /*allow_list=*/false);
+  if (!seeds) return 2;
+  const std::uint64_t seed = seeds->front();
   const std::int64_t arrivals = args.get_int("arrivals", 10000);
   if (arrivals < 0) {
     std::fprintf(stderr, "dcn_run --serve: --arrivals must be >= 0\n");
@@ -115,14 +129,9 @@ int run_serve(const dcn::cli::Args& args,
   options.slack = args.get_double("slack", options.slack);
   options.capacity = args.get_double("capacity", options.capacity);
 
-  // The registered online_dcfsr_sharded configuration (the calibrated
-  // Frank-Wolfe budget on the flat-latency options), overridable per
-  // run; --audit turns on the load-index shadow + warm-state sweeps.
-  OnlineOptions online;
-  online.rounding.relaxation.frank_wolfe.max_iterations = 12;
-  online.rounding.relaxation.frank_wolfe.gap_tolerance = 1e-3;
-  online.lookahead_window = args.get_double("window", 2.0);
-  online.epoch = args.get_double("epoch", 0.5);
+  // The registered online_dcfsr_sharded configuration; --audit turns on
+  // the load-index shadow + warm-state sweeps.
+  OnlineOptions online = service_options();
   online.allow_rerate = args.has_flag("rerate");
   online.audit_load_index = args.has_flag("audit");
 
@@ -180,9 +189,10 @@ int run_serve(const dcn::cli::Args& args,
       result.rounding_attempts, result.rerate_commits,
       result.peak_live_segments,
       static_cast<long long>(result.load_segments_pruned));
+  const std::vector<double>& ms = result.decision_latency_ms;
   std::printf("serve timings: p50=%.3f ms p99=%.3f ms peak_rss=%lld KB\n",
-              latency_percentile(result.decision_latency_ms, 0.50),
-              latency_percentile(result.decision_latency_ms, 0.99),
+              ms.empty() ? 0.0 : percentile(ms, 0.50),
+              ms.empty() ? 0.0 : percentile(ms, 0.99),
               static_cast<long long>(peak_rss_kb()));
   return 0;
 }
@@ -232,10 +242,10 @@ int main(int argc, char** argv) {
   if (spec.scenarios.size() == 1 && spec.scenarios[0] == "all") {
     spec.scenarios = suite.names();
   }
-  spec.seeds.clear();
-  for (const std::int64_t s : args.get_int_list("seeds", {args.get_int("seed", 1)})) {
-    spec.seeds.push_back(static_cast<std::uint64_t>(s));
-  }
+  const std::optional<std::vector<std::uint64_t>> seeds =
+      seed_args(args, /*allow_list=*/true);
+  if (!seeds) return 2;
+  spec.seeds = *seeds;
   spec.jobs = static_cast<std::int32_t>(args.get_int("jobs", 1));
   spec.options.num_flows = static_cast<std::int32_t>(
       args.get_int("flows", spec.options.num_flows));
