@@ -7,8 +7,8 @@
 // subset, relaxation re-solves and total Frank-Wolfe iterations
 // (online_dcfsr — the warm-start effectiveness signal: iterations per
 // re-solve stays near the per-interval floor when warm starts hit),
-// departures-fast-path gap checks, the peak number of flows in flight
-// (what the indexed event loop keeps warm state for), EDF-fallback
+// the peak number of flows in flight (what the indexed event loop
+// keeps carried rows for), EDF-fallback
 // admissions (online_greedy), competitive ratios against the
 // oracle_dcfsr row, and wall-clock. Every cell is replay-validated by
 // the engine before it is counted.
@@ -122,7 +122,7 @@ namespace {
 /// One aggregated (cell, solver) row.
 struct Row {
   double admitted = 0, offered = 0, energy = 0, resolves = 0, fw = 0,
-         gap_checks = 0, peak = 0, edf = 0, ms = 0;
+         peak = 0, edf = 0, ms = 0;
   // Frank-Wolfe phase counters (deterministic; from the fw_* stats).
   double sweeps = 0, repriced = 0, ls_evals = 0;
   // Load-index health (deterministic stats) and admission-decision
@@ -368,10 +368,10 @@ int main(int argc, char** argv) {
   std::printf("Online arrival sweep: %s, %d runs, capacity=%g\n",
               scenario.c_str(), runs, spec.options.capacity);
   bench::rule();
-  std::printf("%6s %6s  %-17s %8s %12s %8s %9s %8s %10s %9s %7s %6s %6s %6s "
+  std::printf("%6s %6s  %-17s %8s %12s %8s %9s %8s %10s %9s %6s %6s %6s "
               "%8s %6s %8s %8s %8s %8s %7s %9s\n",
               "rate", "flows", "solver", "admit%", "energy", "resolves",
-              "fw_iters", "sweeps", "repriced", "ls_evals", "gapchk", "peak",
+              "fw_iters", "sweeps", "repriced", "ls_evals", "peak",
               "edf_fb", "rr_cmt", "rr_flows", "pk_seg", "pruned", "p50ms",
               "p99ms", "cr_adm", "cr_en", "ms");
 
@@ -429,7 +429,6 @@ int main(int argc, char** argv) {
           if (key == "fw_sweeps") row.sweeps += value;
           if (key == "fw_edges_repriced") row.repriced += value;
           if (key == "fw_ls_evals") row.ls_evals += value;
-          if (key == "departure_gap_checks") row.gap_checks += value;
           if (key == "peak_in_flight") row.peak += value;
           if (key == "edf_fallbacks") row.edf += value;
           if (key == "peak_live_segments") row.peak_seg += value;
@@ -467,12 +466,12 @@ int main(int argc, char** argv) {
         }
         const double cells = static_cast<double>(std::max(1, row.cells));
         std::printf("%6g %6lld  %-17s %7.1f%% %12.1f %8.0f %9.0f %8.0f %10.0f "
-                    "%9.0f %7.0f %6.0f %6.0f %6.0f %8.0f %6.0f %8.0f %8.2f "
+                    "%9.0f %6.0f %6.0f %6.0f %8.0f %6.0f %8.0f %8.2f "
                     "%8.2f %8s %7s %9.0f\n",
                     rate, static_cast<long long>(flows), solver.c_str(),
                     row.offered > 0 ? 100.0 * row.admitted / row.offered : 0.0,
                     row.energy, row.resolves, row.fw, row.sweeps, row.repriced,
-                    row.ls_evals, row.gap_checks, row.peak / cells, row.edf,
+                    row.ls_evals, row.peak / cells, row.edf,
                     row.rerate_commits, row.rerated_flows,
                     row.peak_seg / cells, row.pruned / cells, row.p50 / cells,
                     row.p99 / cells, cr_adm, cr_en, row.ms);

@@ -67,10 +67,6 @@ std::vector<std::pair<std::string, double>> online_dcfsr_stats(
           {"fw_iterations", static_cast<double>(r.fw_iterations)},
           {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
           {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
-          {"departure_gap_checks",
-           static_cast<double>(r.departure_gap_checks)},
-          {"gap_check_iterations",
-           static_cast<double>(r.gap_check_iterations)},
           {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
           {"first_lb", r.first_lower_bound},
           {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},

@@ -37,7 +37,8 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
                                       const RelaxationOptions& options,
                                       RelaxationWorkspace* workspace,
                                       const std::vector<SparseEdgeFlow>* warm_by_flow,
-                                      const std::vector<AtomSet>* warm_atoms_by_flow) {
+                                      const std::vector<AtomSet>* warm_atoms_by_flow,
+                                      const std::vector<SparseEdgeFlow>* background_by_flow) {
   validate_flows(g, flows);
   FractionalRelaxation out;
   out.decomposition = decompose_intervals(flows);
@@ -67,6 +68,24 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   }
   std::vector<AtomSet> interval_atoms;
 
+  // Fixed flows (a non-empty background row): their rows are the
+  // answer — final_flow hands them back verbatim — and per interval
+  // they only sum into the background load of the free commodities.
+  if (background_by_flow != nullptr) {
+    DCN_EXPECTS(background_by_flow->size() == flows.size());
+  }
+  auto is_fixed = [&](std::size_t fid) {
+    return background_by_flow != nullptr && !(*background_by_flow)[fid].empty();
+  };
+  bool any_fixed = false;
+  for (std::size_t fid = 0; fid < flows.size(); ++fid) {
+    if (!is_fixed(fid)) continue;
+    any_fixed = true;
+    prev_flow_by_flow[fid] = (*background_by_flow)[fid];
+    prev_atoms_by_flow[fid].clear();
+  }
+  const bool loaded_init = warm_by_flow != nullptr || background_by_flow != nullptr;
+
   // All O(V)/O(E) scratch lives in workspaces reused across intervals —
   // and, when the caller passes one, across whole solves.
   RelaxationWorkspace local_workspace;
@@ -75,7 +94,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   DijkstraWorkspace& sp_workspace = ws.shortest_path;
   FlowDecompositionWorkspace& decomposition_workspace = ws.decomposition;
   CsrAdjacency& adjacency = ws.adjacency;
-  adjacency.build(g);
+  adjacency.build(g);  // once per call; every interval solve sweeps it
 
   // The empty-network marginal weights are identical for every interval
   // and every new flow: hoist them out of the loops.
@@ -99,16 +118,47 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   std::vector<NodeId> group_targets;
   Path path_scratch;
   std::vector<double> loaded_weights;
+  // Scratch for splitting an interval into free flows and background.
+  std::vector<FlowId> free_flows;
+  std::vector<double> background_sum(any_fixed ? num_edges : 0, 0.0);
+  std::vector<EdgeId> background_edges;
 
   double gap_sum = 0.0;
   std::size_t solved_intervals = 0;
 
   for (std::size_t k = 0; k < dec.num_intervals(); ++k) {
-    const std::vector<FlowId>& active = dec.active[k];
-    if (active.empty()) continue;
-
+    if (dec.active[k].empty()) continue;
     ConvexMcfProblem problem;
+
+    // The interval's commodities are its free flows; the fixed ones
+    // sum, in activity order, into its background load.
+    if (any_fixed) {
+      free_flows.clear();
+      background_edges.clear();
+      for (const FlowId fid : dec.active[k]) {
+        const auto f = static_cast<std::size_t>(fid);
+        if (!is_fixed(f)) {
+          free_flows.push_back(fid);
+          continue;
+        }
+        for (const auto& [e, v] : (*background_by_flow)[f]) {
+          const auto i = static_cast<std::size_t>(e);
+          if (background_sum[i] == 0.0) background_edges.push_back(e);
+          background_sum[i] += v;
+        }
+      }
+      std::sort(background_edges.begin(), background_edges.end());
+      problem.background.reserve(background_edges.size());
+      for (const EdgeId e : background_edges) {
+        const auto i = static_cast<std::size_t>(e);
+        problem.background.emplace_back(e, background_sum[i]);
+        background_sum[i] = 0.0;
+      }
+    }
+    const std::vector<FlowId>& active = any_fixed ? free_flows : dec.active[k];
+
     problem.graph = &g;
+    problem.adjacency = &adjacency;
     problem.cost = [&model](double x) { return model.envelope(x); };
     problem.cost_derivative = [&model](double x) {
       return model.envelope_derivative(x);
@@ -142,21 +192,25 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     std::sort(new_by_source.begin(), new_by_source.end());
 
     // Initialization weights for the new flows. In a caller-warm-started
-    // re-solve (the online scheduler's per-arrival path), route arrivals
-    // against the *carried load's* marginal costs rather than the empty
-    // network: a Frank-Wolfe step is a joint convex combination across
-    // all commodities, so it is very slow at re-routing one badly
-    // initialized arrival away from links the warm flows already
-    // occupy — better to never put it there. With no carried rows the
-    // sum below is zero and these weights degenerate to w0 exactly, so
-    // cold behavior (and the offline algorithm) is bit-identical.
+    // or background-loaded re-solve (the online scheduler's per-arrival
+    // path), route arrivals against the *carried load's* marginal costs
+    // rather than the empty network: a Frank-Wolfe step is a joint
+    // convex combination across all commodities, so it is very slow at
+    // re-routing one badly initialized arrival away from links the
+    // carried flows already occupy — better to never put it there. With
+    // no carried rows the sum below is zero and these weights
+    // degenerate to w0 exactly, so cold behavior (and the offline
+    // algorithm) is bit-identical.
     const std::vector<double>* init_weights = &w0;
-    if (warm_by_flow != nullptr && !new_by_source.empty()) {
+    if (loaded_init && !new_by_source.empty()) {
       loaded_weights.assign(num_edges, 0.0);
       for (const SparseEdgeFlow& row : warm) {
         for (const auto& [e, v] : row) {
           loaded_weights[static_cast<std::size_t>(e)] += v;
         }
+      }
+      for (const auto& [e, v] : problem.background) {
+        loaded_weights[static_cast<std::size_t>(e)] += v;
       }
       for (double& w : loaded_weights) {
         w = std::max(spec.derivative(w), 1e-9);
@@ -207,10 +261,12 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
         problem, options.frank_wolfe, &warm, &mcf_workspace, atoms_in);
 
     out.lower_bound_energy += sol.cost * dec.intervals[k].measure();
-    gap_sum += sol.relative_gap;
     out.total_fw_iterations += sol.iterations;
     out.fw_stats += sol.stats;
-    ++solved_intervals;
+    if (!active.empty()) {  // a background-only interval solves nothing
+      gap_sum += sol.relative_gap;
+      ++solved_intervals;
+    }
 
     // Aggregate wbar per active flow. An atom-rule solve already carries
     // the path decomposition — its final active sets — so the atoms are
@@ -256,6 +312,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   out.candidates.resize(flows.size());
   std::vector<std::pair<std::vector<EdgeId>, double>> sorted;
   for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (is_fixed(i)) continue;
     DCN_ENSURES(!accum[i].empty());
     sorted.clear();
     sorted.reserve(accum[i].size());

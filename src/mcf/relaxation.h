@@ -57,9 +57,12 @@ struct RelaxationOptions {
 
 struct FractionalRelaxation {
   IntervalDecomposition decomposition;
-  /// LB: the fractional optimum's energy over the whole horizon.
+  /// LB: the fractional optimum's energy over the whole horizon (the
+  /// fixed flows' background load included).
   double lower_bound_energy = 0.0;
-  /// Per flow: candidate paths and rounding probabilities wbar.
+  /// Per flow: candidate paths and rounding probabilities wbar. Empty
+  /// for fixed flows (see solve_relaxation's `background_by_flow`):
+  /// pin those through round_relaxation's forced paths.
   std::vector<FlowCandidates> candidates;
   /// Mean final Frank-Wolfe relative gap across intervals (diagnostic).
   double mean_relative_gap = 0.0;
@@ -72,8 +75,10 @@ struct FractionalRelaxation {
   /// seconds are wall time and must stay out of canonical output.
   FrankWolfeStats fw_stats;
   /// Per flow: its sparse commodity flow from the last interval it was
-  /// active in — the warm-start seed for a subsequent related solve
-  /// (the online scheduler threads these across re-solves).
+  /// active in — the warm-start seed for a subsequent related solve,
+  /// and the row the online scheduler carries as the flow's background
+  /// load once it is admitted. A fixed flow's entry is its background
+  /// row, unchanged.
   std::vector<SparseEdgeFlow> final_flow;
   /// Per flow: the path-atom decomposition of final_flow from the same
   /// last interval — populated only when the solve stepped with an
@@ -86,7 +91,8 @@ struct FractionalRelaxation {
 };
 
 /// Reusable scratch for solve_relaxation: the Frank-Wolfe workspace,
-/// Dijkstra/decomposition state, and the adjacency snapshot. One
+/// Dijkstra/decomposition state, and the adjacency snapshot (built once
+/// per call and shared by every interval solve). One
 /// workspace held across a sequence of related solves (the online
 /// scheduler's per-arrival re-solves) eliminates all O(V)/O(E)
 /// allocation after the first call. Treat as opaque.
@@ -115,10 +121,25 @@ struct RelaxationWorkspace {
 /// flow's first interval solve directly — no Raghavan-Tompson pass over
 /// its warm row — and must decompose exactly the flow's density. Empty
 /// sets fall back to decomposing the warm row.
+///
+/// `background_by_flow`, when non-null, must have one sparse row per
+/// flow (sorted by edge id); a non-empty row makes that flow *fixed*:
+/// in every interval it is active in, its row enters the interval's
+/// F-MCF as background load — priced and costed, never moved, never
+/// routed by an oracle sweep — and only the other flows are
+/// commodities. A fixed flow's final_flow is its row verbatim, its
+/// candidates and final_atoms are empty, and its warm row is ignored.
+/// As with `warm_by_flow`, new flows start on cheapest paths against
+/// the loaded network (the background plus the rows carried into the
+/// interval). The row should route the flow's density from src to dst
+/// (a previous solve's `final_flow` qualifies). Empty rows leave the
+/// flow free: with every row empty the solve equals one given all-empty
+/// `warm_by_flow` rows, bit for bit.
 [[nodiscard]] FractionalRelaxation solve_relaxation(
     const Graph& g, const std::vector<Flow>& flows, const PowerModel& model,
     const RelaxationOptions& options = {}, RelaxationWorkspace* workspace = nullptr,
     const std::vector<SparseEdgeFlow>* warm_by_flow = nullptr,
-    const std::vector<AtomSet>* warm_atoms_by_flow = nullptr);
+    const std::vector<AtomSet>* warm_atoms_by_flow = nullptr,
+    const std::vector<SparseEdgeFlow>* background_by_flow = nullptr);
 
 }  // namespace dcn

@@ -76,6 +76,9 @@ class EdgeLoadIndex {
         from, static_cast<Fn&&>(fn));
   }
 
+  [[nodiscard]] std::int32_t num_edges() const {
+    return static_cast<std::int32_t>(profiles_.size());
+  }
   [[nodiscard]] double low_water() const { return low_water_; }
   /// Largest live-breakpoint count any edge ever held — the probe-cost
   /// working set the pruning invariant bounds (a bench_online column).

@@ -23,9 +23,14 @@
 //   * Paths are virtual circuits: committed at admission and held fixed
 //     through every later re-solve (a mid-flight path change is not
 //     representable — nor desirable — in the circuit model of
-//     Sec. III-A). Re-solves therefore re-optimize *routing of new
-//     arrivals* against a fractional re-optimization of everything in
-//     flight.
+//     Sec. III-A). Re-solves therefore optimize only the *routing of
+//     new arrivals*: every in-flight flow enters the relaxation as a
+//     fixed background load — the fractional row it was routed with in
+//     its admission event's re-solve — that prices the arrivals' edge
+//     costs but is never re-routed (cf. RCD, which admits by checking
+//     an arrival against what is already planned, with no global
+//     re-solve). An event's oracle sweeps and line searches thus scale
+//     with its arrivals, not with the flows in flight.
 //   * With OnlineOptions::allow_rerate (the online_dcfsr_preempt
 //     solver), the frozen-rate half of that contract softens: an
 //     arrival that cannot fit against the committed load may trigger a
@@ -39,25 +44,23 @@
 //   * The event loop is indexed: admitted in-flight flows live in a
 //     deadline-ordered active set, so each event touches O(active +
 //     log n) state — completions pop off the front, the residual
-//     problem reads the set directly, and the warm rows + path atoms
-//     of departed (or rejected) flows are released immediately, so a
+//     problem reads the set directly, and the carried rows of departed
+//     (or rejected) flows are released immediately, so a
 //     run over thousands of arrivals keeps memory and per-event cost
 //     proportional to the flows actually in flight.
 //
 // Three policies:
 //
-//   online_dcfsr   On each event, re-solves the interval relaxation of
-//                  Algorithm 2 over the residual demands — warm-started
-//                  from the previous event's per-flow fractional flows
-//                  (pairwise Frank-Wolfe, the default step rule, sheds
-//                  the mass an arrival made suboptimal in a handful of
-//                  steps) and reusing one RelaxationWorkspace across
-//                  the whole run, so a re-solve costs a fraction of a
-//                  cold solve — then draws the new arrivals' paths by
-//                  randomized rounding with admitted flows pinned to
-//                  their circuits. Completions between arrivals take
-//                  the departures-only fast path (a single one-
-//                  iteration gap check) in place of a full relaxation.
+//   online_dcfsr   On each arrival event, solves the interval relaxation
+//                  of Algorithm 2 for the event's arrivals over the
+//                  residual horizon, with the in-flight flows' carried
+//                  rows as background load and one RelaxationWorkspace
+//                  reused across the whole run — then draws the
+//                  arrivals' paths by randomized rounding with admitted
+//                  flows pinned to their circuits. Completions between
+//                  arrivals need no solve at all: a departure only
+//                  removes background load, and the next arrival's
+//                  re-solve prices the freed capacity.
 //                  When every flow arrives at t = 0 this degenerates to
 //                  exactly offline Random-Schedule (asserted by
 //                  tests/online_differential_test.cc). The event body
@@ -107,7 +110,7 @@ struct OnlineOptions {
   /// Relaxation + rounding knobs of the per-event re-solve
   /// (online_dcfsr only). The rounding attempt budget doubles as the
   /// per-event admission budget; the configured step rule drives every
-  /// re-solve, warm or cold.
+  /// re-solve.
   RandomScheduleOptions rounding;
   /// Lookahead window W for the per-event re-solves (online_dcfsr
   /// only); 0 keeps today's full-horizon behavior bit for bit. With
@@ -148,16 +151,17 @@ struct OnlineOptions {
   /// profile is restored bitwise and the arrival is rejected — no
   /// previously admitted deadline is ever broken (property-swept with
   /// the audit shadow on, packet-sim replayed). Re-rated flows re-enter
-  /// subsequent relaxations pinned to their paths with residual-size
-  /// demands (their warm rows are dropped: the rows route the original
-  /// density, which a reshaped profile no longer has). With false no
-  /// committed profile is ever reshaped.
+  /// subsequent relaxations as free, cold-started commodities with
+  /// residual-size demands, pinned to their paths when rounding (their
+  /// carried rows are dropped: a row routes the original density, which
+  /// a reshaped profile no longer has). With false no committed profile
+  /// is ever reshaped.
   bool allow_rerate = false;
   /// Differential audit: the EdgeLoadIndex keeps a naive never-pruned
   /// StepFunction shadow and cross-checks every probe bitwise (tests;
   /// far too slow for large runs). Also sweeps warm-state hygiene at
   /// every event: a flow that is not admitted-and-in-flight must hold
-  /// no warm rows or path atoms.
+  /// no carried row.
   bool audit_load_index = false;
 };
 
@@ -173,19 +177,18 @@ struct OnlineResult {
   std::int32_t num_events = 0;
 
   // online_dcfsr diagnostics.
-  std::int32_t resolves = 0;            // full relaxation re-solves
+  /// Relaxation solves: one per source group and event with arrivals.
+  std::int32_t resolves = 0;
   std::int64_t fw_iterations = 0;       // total Frank-Wolfe iterations
   std::int32_t rounding_attempts = 0;   // total rounding draws
   std::int32_t batch_fallbacks = 0;     // events demoted to per-flow admission
-  /// Departures-only fast path: completion windows handled by a single
-  /// gap check instead of a full relaxation, and the (one-per-interval)
-  /// Frank-Wolfe iterations those checks spent — kept out of
-  /// fw_iterations so the warm-start economy of the full re-solves
-  /// stays directly comparable across runs.
+  /// Always 0: completions need no solve since in-flight flows became a
+  /// fixed background load, so no departures-only gap check runs. Kept
+  /// for readers of the field; not part of the engine's stats.
   std::int32_t departure_gap_checks = 0;
-  std::int64_t gap_check_iterations = 0;
+  std::int64_t gap_check_iterations = 0;  // always 0, as above
   /// Per-phase Frank-Wolfe work summed over every relaxation call this
-  /// run made (full re-solves and departure gap checks alike). The
+  /// run made. The
   /// counters are deterministic — byte-identical across --jobs and
   /// oracle thread counts — and may surface as engine stats; the
   /// seconds are wall time and must stay out of canonical output.

@@ -30,7 +30,7 @@ namespace online_impl {
 ///   2. Place the arrival at its density over its true span.
 ///   3. Re-admit the candidates in deadline (EDF) order. A candidate
 ///      whose old future still fits keeps it bitwise — it is not
-///      re-rated, its warm rows stay valid. Otherwise it is repacked
+///      re-rated, its carried row stays valid. Otherwise it is repacked
 ///      within [max(now, release), deadline] on its committed path: at
 ///      its flat residual density when that fits (re-rating should not
 ///      spike rates — the power curve is convex), else into the
@@ -42,8 +42,8 @@ namespace online_impl {
 ///
 /// On success the arrival's schedule + admission are recorded (its load
 /// is already placed), reshaped candidates get their segments stitched
-/// (immutable past + repacked future), their warm rows/atoms dropped
-/// (the rows route the original density, which the reshaped profile no
+/// (immutable past + repacked future), their carried rows dropped (a
+/// row routes the original density, which the reshaped profile no
 /// longer has), and their `rerated` flags set — from then on their
 /// residual demands are computed from the committed profile, not the
 /// density invariant. Consumes no rng: given the same index state the
@@ -53,8 +53,7 @@ bool try_rerate(OnlineResult& out, Index& load, const std::vector<Flow>& flows,
                 const std::set<std::pair<double, std::size_t>>& active,
                 double now, double capacity, std::size_t arrival,
                 const Path& path, std::vector<char>& rerated,
-                std::vector<SparseEdgeFlow>& warm,
-                std::vector<AtomSet>& warm_atoms) {
+                std::vector<SparseEdgeFlow>& warm) {
   const Flow& fl = flows[arrival];
   ++out.rerate_attempts;
 
@@ -192,7 +191,6 @@ bool try_rerate(OnlineResult& out, Index& load, const std::vector<Flow>& flows,
     if (!rerated[c.i]) ++out.rerated_flows;
     rerated[c.i] = 1;
     warm[c.i] = SparseEdgeFlow();  // move-assign: releases the capacity
-    warm_atoms[c.i] = AtomSet();
   }
   ++out.rerate_commits;
   return true;

@@ -69,14 +69,23 @@ ShardPlan ShardPlan::single_group(std::int32_t num_nodes,
 
 ShardedLoadIndex::ShardedLoadIndex(const ShardPlan& plan,
                                    std::int32_t num_edges, bool audit)
-    : owner_(&plan.edge_owner()), coordinator_(num_edges, audit) {
+    : owner_(&plan.edge_owner()),
+      coordinator_(static_cast<std::int32_t>(std::count(
+                       owner_->begin(), owner_->end(), std::int32_t{-1})),
+                   audit) {
   DCN_EXPECTS(static_cast<std::int32_t>(owner_->size()) == num_edges);
-  privates_own_edges_ = std::any_of(owner_->begin(), owner_->end(),
-                                    [](std::int32_t o) { return o >= 0; });
+  // Local ids: an edge's position among its owner's edges (slot 0 of
+  // `owned` counts the coordinator's, slot g + 1 group g's).
+  std::vector<EdgeId> owned(static_cast<std::size_t>(plan.num_groups()) + 1, 0);
+  local_.reserve(owner_->size());
+  for (const std::int32_t owner : *owner_) {
+    local_.push_back(owned[static_cast<std::size_t>(owner + 1)]++);
+  }
+  privates_own_edges_ = owned[0] < num_edges;
   if (!privates_own_edges_) return;  // the coordinator owns every edge
   privates_.reserve(static_cast<std::size_t>(plan.num_groups()));
   for (std::int32_t gid = 0; gid < plan.num_groups(); ++gid) {
-    privates_.emplace_back(num_edges, audit);
+    privates_.emplace_back(owned[static_cast<std::size_t>(gid) + 1], audit);
   }
 }
 

@@ -22,7 +22,9 @@
 // the identical add/retract/prune sequence a single EdgeLoadIndex
 // would: probes are bitwise-equal to the unsharded index by
 // construction, and capacity soundness never depends on the ownership
-// split (the router sends every probe to the owning sub-index).
+// split (the router sends every probe to the owning sub-index). Each
+// sub-index is sized by ownership — it holds only its own edges, under
+// compact local ids — so per-event pruning touches every edge once.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +80,10 @@ class ShardPlan {
 
 /// The storage-sharded committed-load index: one private EdgeLoadIndex
 /// per group (its hosts' uplinks), one for the coordinator (everything
-/// shared). Same probe API as EdgeLoadIndex — every call routes to the
-/// sub-index owning the edge — so the admission templates in
+/// shared), each holding exactly the edges it owns under compact local
+/// ids (position among the owner's edges, in edge-id order). Same probe
+/// API as EdgeLoadIndex — every call routes to the owning sub-index
+/// and translates the edge id — so the admission templates in
 /// admission_core.h / rerate.h instantiate over either. In audit mode
 /// each sub-index checks its own probes bitwise; shadow() exposes the
 /// coordinator's naive replay when the coordinator owns every edge (a
@@ -90,24 +94,24 @@ class ShardedLoadIndex {
   ShardedLoadIndex(const ShardPlan& plan, std::int32_t num_edges, bool audit);
 
   void add(EdgeId e, const Interval& iv, double rate) {
-    sub(e).add(e, iv, rate);
+    sub(e).add(local(e), iv, rate);
   }
   void retract(EdgeId e, const Interval& iv, double rate) {
-    sub(e).retract(e, iv, rate);
+    sub(e).retract(local(e), iv, rate);
   }
   [[nodiscard]] double value_at(EdgeId e, double t) const {
-    return sub(e).value_at(e, t);
+    return sub(e).value_at(local(e), t);
   }
   [[nodiscard]] double max_within(EdgeId e, const Interval& window) const {
-    return sub(e).max_within(e, window);
+    return sub(e).max_within(local(e), window);
   }
   [[nodiscard]] double marginal_energy(EdgeId e, const Interval& span, double d,
                                        const PowerModel& model) const {
-    return sub(e).marginal_energy(e, span, d, model);
+    return sub(e).marginal_energy(local(e), span, d, model);
   }
   template <typename Fn>
   void for_each_segment_from(EdgeId e, double from, Fn&& fn) const {
-    sub(e).for_each_segment_from(e, from, static_cast<Fn&&>(fn));
+    sub(e).for_each_segment_from(local(e), from, static_cast<Fn&&>(fn));
   }
 
   /// Advances every sub-index's low-water mark (the mark is global:
@@ -118,6 +122,12 @@ class ShardedLoadIndex {
   [[nodiscard]] std::int64_t segments_pruned() const;
   [[nodiscard]] const std::vector<StepFunction>* shadow() const {
     return privates_own_edges_ ? nullptr : coordinator_.shadow();
+  }
+
+  /// Group `gid`'s private sub-index (introspection; the plan must give
+  /// some group private edges).
+  [[nodiscard]] const EdgeLoadIndex& private_index(std::int32_t gid) const {
+    return privates_[static_cast<std::size_t>(gid)];
   }
 
  private:
@@ -132,7 +142,12 @@ class ShardedLoadIndex {
                       : coordinator_;
   }
 
+  [[nodiscard]] EdgeId local(EdgeId e) const {
+    return local_[static_cast<std::size_t>(e)];
+  }
+
   const std::vector<std::int32_t>* owner_;  // plan's edge_owner
+  std::vector<EdgeId> local_;               // by EdgeId: id in its sub-index
   std::vector<EdgeLoadIndex> privates_;     // one per group
   EdgeLoadIndex coordinator_;
   bool privates_own_edges_ = false;  // some edge is group-private

@@ -1,15 +1,15 @@
 // The online scheduling engine (see sharded.h for the service shape
 // and sharded_service.cc for the batch/stream entry points, the flat
 // online_dcfsr among them). Phase A is the per-event body — completions,
-// gap check, residual build, warm re-solve, joint rounding draw — run
-// per source group over the group's own state; Phase B is the core-link
-// coordinator: serial, ascending group id, every drawn path verified
-// against the global load index before it commits.
+// residual build, the arrivals' re-solve against the in-flight flows'
+// background load, joint rounding draw — run per source group over the
+// group's own state; Phase B is the core-link coordinator: serial,
+// ascending group id, every drawn path verified against the global load
+// index before it commits.
 #include "online/sharded.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
@@ -61,8 +61,6 @@ struct ShardedScheduler::Proposal {
 
   std::int64_t completions = 0;
   std::int32_t rejected_unroutable = 0;
-  std::int32_t gap_checks = 0;
-  std::int64_t gap_iterations = 0;
   std::int64_t fw_iterations = 0;
   FrankWolfeStats fw_stats;
   double lower_bound = 0.0;
@@ -121,7 +119,6 @@ void ShardedScheduler::release_warm(std::size_t slot) {
   // what keeps a long-running service's RSS proportional to the
   // in-flight working set instead of the stream length.
   warm_[slot] = SparseEdgeFlow();
-  warm_atoms_[slot] = AtomSet();
 }
 
 double ShardedScheduler::residual_volume(std::size_t slot, double t) const {
@@ -137,11 +134,10 @@ void ShardedScheduler::phase_a(GroupState& gs,
                                const std::vector<std::size_t>& batch_slots,
                                double now, Proposal& p) {
   // Completions since the group's previous activation: pop the prefix
-  // with deadline <= now and release the departed flows' warm state.
-  double depart = -std::numeric_limits<double>::infinity();
+  // with deadline <= now and release the departed flows' rows. A
+  // departure only removes background load, so it needs no solve.
   while (!gs.active.empty() && gs.active.begin()->first <= now) {
     const std::size_t done = gs.active.begin()->second;
-    depart = gs.active.begin()->first;
     gs.active.erase(gs.active.begin());
     gs.live_releases.erase(gs.live_releases.find(flows_[done].release));
     release_warm(done);
@@ -152,59 +148,6 @@ void ShardedScheduler::phase_a(GroupState& gs,
       // in-flight working set, not the stream length. The admission
       // flag and aggregate counters keep the outcome.
       out_.schedule.flows[done] = FlowSchedule{};
-    }
-  }
-
-  // Departures-only fast path. The completions changed the group's
-  // carried problem by removal only: the surviving warm rows stay
-  // feasible, so instead of a full relaxation the latest completion
-  // time gets a single gap check — a one-iteration warm re-solve that
-  // certifies the rows or sheds one step of mass onto the freed
-  // capacity. With a finite lookahead the survivors are clipped to
-  // [depart, depart + W] like any re-solve.
-  if (std::isfinite(depart) && !gs.active.empty()) {
-    std::vector<Flow> survivors;
-    std::vector<std::size_t> surviving;
-    std::vector<SparseEdgeFlow> gap_rows;
-    std::vector<AtomSet> gap_atoms;
-    survivors.reserve(gs.active.size());
-    const double gap_horizon =
-        options_.lookahead_window > 0.0
-            ? depart + options_.lookahead_window
-            : std::numeric_limits<double>::infinity();
-    for (const auto& [deadline, i] : gs.active) {
-      Flow res = flows_[i];
-      res.volume = residual_volume(i, depart);
-      if (rerated_[i] &&
-          res.volume <= 1e-12 * std::max(1.0, flows_[i].volume)) {
-        continue;  // accelerated to completion before its deadline
-      }
-      res.id = static_cast<FlowId>(survivors.size());
-      res.release = depart;
-      if (res.deadline > gap_horizon) {
-        res.volume = rerated_[i]
-                         ? res.volume *
-                               ((gap_horizon - depart) / (deadline - depart))
-                         : flows_[i].density() * (gap_horizon - depart);
-        res.deadline = gap_horizon;
-      }
-      survivors.push_back(res);
-      surviving.push_back(i);
-      gap_rows.push_back(warm_[i]);
-      gap_atoms.push_back(std::move(warm_atoms_[i]));
-    }
-    RelaxationOptions gap_options = options_.rounding.relaxation;
-    gap_options.frank_wolfe.max_iterations = 1;
-    FractionalRelaxation check =
-        solve_relaxation(g_, survivors, model_, gap_options, &gs.workspace,
-                         &gap_rows, &gap_atoms);
-    ++p.gap_checks;
-    p.gap_iterations += check.total_fw_iterations;
-    p.fw_stats += check.fw_stats;
-    for (std::size_t r = 0; r < survivors.size(); ++r) {
-      if (rerated_[surviving[r]]) continue;  // stays cold
-      warm_[surviving[r]] = std::move(check.final_flow[r]);
-      warm_atoms_[surviving[r]] = std::move(check.final_atoms[r]);
     }
   }
 
@@ -237,19 +180,23 @@ void ShardedScheduler::phase_a(GroupState& gs,
     p.orig.push_back(slot);
     forced.push_back(nullptr);
   }
-  if (p.residual.empty()) return;  // p.solved stays false
+  // No arrival to route: nothing to solve, and p.solved stays false.
+  if (p.residual.size() == p.first_new) return;
 
-  // Warm-started re-solve over the group's shifted horizon. Flows whose
-  // deadlines lie past now + W enter the *relaxation* clipped to the
-  // window at their original densities; admission below still checks
-  // the true spans, so the window never affects soundness. With no
-  // flow reaching past the horizon the relaxation sees the residual
-  // vector itself.
-  std::vector<SparseEdgeFlow> warm_rows(p.residual.size());
-  std::vector<AtomSet> warm_atom_rows(p.residual.size());
-  for (std::size_t r = 0; r < p.residual.size(); ++r) {
-    warm_rows[r] = warm_[p.orig[r]];
-    warm_atom_rows[r] = std::move(warm_atoms_[p.orig[r]]);
+  // The arrivals' re-solve. Each in-flight flow enters as a fixed
+  // background load: the fractional row it carried out of its admission
+  // event's re-solve, at its unchanged density (its circuit cannot
+  // move, so re-routing it fractionally would only spend sweeps).
+  // Re-rated flows carry no row — a reshaped profile no longer has the
+  // density a row routes — so they re-enter as free, cold-started
+  // commodities. Flows whose deadlines lie past now + W enter the
+  // *relaxation* clipped to the window at their original densities;
+  // admission below still checks the true spans, so the window never
+  // affects soundness. With no flow reaching past the horizon the
+  // relaxation sees the residual vector itself.
+  std::vector<SparseEdgeFlow> background(p.residual.size());
+  for (std::size_t r = 0; r < p.first_new; ++r) {
+    background[r] = std::move(warm_[p.orig[r]]);
   }
   const std::vector<Flow>* relax_flows = &p.residual;
   std::vector<Flow> clipped;
@@ -275,18 +222,16 @@ void ShardedScheduler::phase_a(GroupState& gs,
   }
   p.relax = solve_relaxation(g_, *relax_flows, model_,
                              options_.rounding.relaxation, &gs.workspace,
-                             &warm_rows, &warm_atom_rows);
+                             nullptr, nullptr, &background);
   p.solved = true;
   p.fw_iterations += p.relax.total_fw_iterations;
   p.fw_stats += p.relax.fw_stats;
   p.lower_bound = p.relax.lower_bound_energy;
+  // Background rows come back verbatim; arrivals keep the row they were
+  // routed with, which becomes their background once admitted.
   for (std::size_t r = 0; r < p.residual.size(); ++r) {
-    if (rerated_[p.orig[r]]) {
-      release_warm(p.orig[r]);
-      continue;
-    }
+    if (rerated_[p.orig[r]]) continue;  // stays cold
     warm_[p.orig[r]] = std::move(p.relax.final_flow[r]);
-    warm_atoms_[p.orig[r]] = std::move(p.relax.final_atoms[r]);
   }
 
   // Joint rounding draw from the group's own stream; commits happen in
@@ -298,8 +243,6 @@ void ShardedScheduler::phase_a(GroupState& gs,
 void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   completed_ += p.completions;
   out_.num_rejected += p.rejected_unroutable;
-  out_.departure_gap_checks += p.gap_checks;
-  out_.gap_check_iterations += p.gap_iterations;
   out_.fw_stats += p.fw_stats;
   if (!p.solved) return;
   ++out_.resolves;
@@ -346,7 +289,7 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
       if (duplicate) continue;
       ++tried;
       if (try_rerate(out_, load_, flows_, gs.active, now, capacity_, i,
-                     ranked[k]->path, rerated_, warm_, warm_atoms_)) {
+                     ranked[k]->path, rerated_, warm_)) {
         admit_into_index(i);
         return true;
       }
@@ -424,7 +367,6 @@ void ShardedScheduler::audit_warm_state() const {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     if (in_flight[i]) continue;
     DCN_ENSURES(warm_[i].empty());
-    DCN_ENSURES(warm_atoms_[i].empty());
   }
 }
 
@@ -437,7 +379,6 @@ void ShardedScheduler::process_batch(double now,
   const std::size_t base = flows_.size();
   flows_.insert(flows_.end(), batch.begin(), batch.end());
   warm_.resize(flows_.size());
-  warm_atoms_.resize(flows_.size());
   rerated_.resize(flows_.size(), 0);
   group_of_slot_.resize(flows_.size());
   out_.schedule.flows.resize(flows_.size());

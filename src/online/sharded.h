@@ -6,11 +6,13 @@
 // each global event in two phases:
 //
 //   Phase A (parallel over affected source groups): each group — a
-//   long-lived shard worker owning its warm rows, path atoms, active
-//   set, rng stream, and reachability cache — pops its completions,
-//   runs the departures-only gap check, builds its residual problem,
-//   warm re-solves the relaxation in its private workspace, and draws
-//   candidate paths by randomized rounding from its own rng stream.
+//   long-lived shard worker owning its in-flight flows' carried rows,
+//   active set, rng stream, and reachability cache — pops its
+//   completions, builds its residual problem, re-solves the relaxation
+//   for its arrivals (the in-flight rows enter as fixed background
+//   load) in its private workspace, and draws candidate paths by
+//   randomized rounding from its own rng stream. A group with
+//   completions but no arrivals solves nothing.
 //   Nothing global is written: proposals go to per-group slots, so any
 //   worker count produces identical state (the BatchRunner house rule).
 //
@@ -115,13 +117,14 @@ class ShardedScheduler {
   std::vector<std::unique_ptr<GroupState>> groups_;
   std::unique_ptr<WorkerPool> pool_;  // phase A lanes; null = serial
 
-  // Slot-indexed per-flow state (slot = feed order). Warm rows and path
-  // atoms are released the moment a flow departs or is rejected, so the
-  // carried state stays proportional to the flows in flight. Phase A
-  // touches only its own group's slots, so parallel groups never alias.
+  // Slot-indexed per-flow state (slot = feed order). warm_ holds each
+  // in-flight flow's fractional row from its admission event's re-solve
+  // — its background load in every later one. Rows are released the
+  // moment a flow departs or is rejected, so the carried state stays
+  // proportional to the flows in flight. Phase A touches only its own
+  // group's slots, so parallel groups never alias.
   std::vector<Flow> flows_;
   std::vector<SparseEdgeFlow> warm_;
-  std::vector<AtomSet> warm_atoms_;
   std::vector<char> rerated_;
   std::vector<std::int32_t> group_of_slot_;
 

@@ -67,36 +67,38 @@ void group_by_sweep_root(const Graph& g,
 }
 
 /// One vectorizable pass over the whole weights array:
-/// w[i] = max(env'(x[i]), min_w). The per-alpha loops keep the body
-/// branch-light — one select for the envelope kink, no calls — so the
-/// compiler can vectorize them; results are bit-identical to the
+/// w[i] = max(env'(x[i] + b[i]), min_w), b the dense background load.
+/// The per-alpha loops keep the body branch-light — one select for the
+/// envelope kink, no calls — so the compiler can vectorize them; results are bit-identical to the
 /// scalar spec.derivative() path (same operation order, and
 /// std::pow(x, 2.0) is correctly rounded, hence bit-equal to x * x).
-/// Entries with x[i] == 0 come out as exactly max(env_slope, min_w) ==
-/// w_zero, which is what preserves the workspace's clean-weights
-/// invariant for off-support edges.
+/// Entries with x[i] + b[i] == 0 come out as exactly
+/// max(env_slope, min_w) == w_zero, which is what preserves the
+/// workspace's clean-weights invariant for off-support edges. Adding an
+/// all-zero background is exact, so it changes no weight.
 void dense_reprice(std::vector<double>& weights, const std::vector<double>& x,
-                   const EnvelopeCostSpec& env, double min_w) {
+                   const std::vector<double>& b, const EnvelopeCostSpec& env,
+                   double min_w) {
   const std::size_t n = x.size();
   const double r_hat = env.r_hat;
   const double slope = env.env_slope;
   if (env.alpha == 2.0) {
     const double ma = env.mu * env.alpha;
     for (std::size_t i = 0; i < n; ++i) {
-      const double xi = x[i];
+      const double xi = x[i] + b[i];
       const double d = xi <= r_hat ? slope : ma * xi;
       weights[i] = std::max(d, min_w);
     }
   } else if (env.alpha == 3.0) {
     const double ma = env.mu * env.alpha;
     for (std::size_t i = 0; i < n; ++i) {
-      const double xi = x[i];
+      const double xi = x[i] + b[i];
       const double d = xi <= r_hat ? slope : ma * (xi * xi);
       weights[i] = std::max(d, min_w);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      weights[i] = std::max(env.derivative(x[i]), min_w);
+      weights[i] = std::max(env.derivative(x[i] + b[i]), min_w);
     }
   }
 }
@@ -121,14 +123,6 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     DCN_EXPECTS(com.demand > 0.0);
   }
 
-  ConvexMcfSolution sol;
-  sol.total_flow.assign(num_edges, 0.0);
-  if (num_commodities == 0) return sol;
-
-  ConvexMcfWorkspace local_ws;
-  ConvexMcfWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  FrankWolfeStats stats;
-
   // The analytic envelope fast path; the std::function callbacks stay
   // as the generic fallback (and the bitwise reference — the spec is
   // documented to reproduce them bit for bit).
@@ -137,15 +131,34 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   auto cost_value = [&](double v) {
     return env != nullptr ? env->value(v) : problem.cost(v);
   };
+  auto marginal = [&](double v) {
+    return std::max(env != nullptr ? env->derivative(v) : problem.cost_derivative(v),
+                    problem.min_edge_weight);
+  };
+
+  ConvexMcfSolution sol;
+  sol.total_flow.assign(num_edges, 0.0);
+  if (num_commodities == 0) {
+    // Nothing to route: the objective is the background's own cost.
+    for (const auto& [e, v] : problem.background) {
+      if (v > 1e-15) sol.cost += cost_value(v);
+    }
+    return sol;
+  }
+
+  ConvexMcfWorkspace local_ws;
+  ConvexMcfWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
+  FrankWolfeStats stats;
 
   // Restore the workspace invariants (weights all w_zero, target flow
-  // all zero) when the graph, the cost model, or an interrupted prior
-  // solve invalidated them.
+  // and background all zero) when the graph, the cost model, or an
+  // interrupted prior solve invalidated them.
   const double w_zero =
       std::max(problem.cost_derivative(0.0), problem.min_edge_weight);
   if (ws.weights_.size() != num_edges || ws.w_zero_ != w_zero || !ws.clean_) {
     ws.weights_.assign(num_edges, w_zero);
     ws.target_total_.assign(num_edges, 0.0);
+    ws.background_.assign(num_edges, 0.0);
     ws.w_zero_ = w_zero;
   }
   if (ws.x_mark_.size() != num_edges) {
@@ -175,7 +188,11 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     }
   };
 
-  ws.csr_.build(g);
+  const CsrAdjacency* csr = problem.adjacency;
+  if (csr == nullptr) {
+    ws.csr_.build(g);
+    csr = &ws.csr_;
+  }
   group_by_sweep_root(g, problem.commodities, ws.by_source_);
   ws.group_bounds_.clear();
   if (options.batch_oracle) {
@@ -244,7 +261,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     for (std::size_t i = lo; i < hi; ++i) {
       targets.push_back(problem.commodities[ws.by_source_[i].second].dst);
     }
-    dijkstra_sweep(ws.csr_, root, weights, targets, dijkstra);
+    dijkstra_sweep(*csr, root, weights, targets, dijkstra);
     for (std::size_t i = lo; i < hi; ++i) {
       const std::size_t c = ws.by_source_[i].second;
       const Commodity& com = problem.commodities[c];
@@ -288,9 +305,24 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     stats.oracle_seconds += seconds_since(t0);
   };
 
+  // Background load: scattered into the dense (clean, all-zero) array,
+  // its edges joined to the support so every pricing pass and cost scan
+  // sees them, and priced now so a cold start already routes around it.
+  std::vector<double>& b = ws.background_;
+  for (const auto& [e, v] : problem.background) {
+    DCN_EXPECTS(g.valid_edge(e));
+    DCN_EXPECTS(v > 0.0);
+    const auto i = static_cast<std::size_t>(e);
+    DCN_EXPECTS(b[i] == 0.0);  // each edge at most once
+    b[i] = v;
+    ws.weights_[i] = marginal(v);
+    touch_x(e);
+  }
+
   // Initial point: warm start when shapes match, otherwise route every
-  // commodity on its cheapest path under the empty-network marginal
-  // cost — which is exactly the clean workspace weights vector.
+  // commodity on its cheapest path under the marginal cost of the
+  // background alone — which is exactly the workspace weights vector
+  // (the clean empty-network weights when there is no background).
   // Commodities with a carried active set (atom rules only) skip the
   // row copy: their rows are rebuilt from the atoms below, so the atom
   // representation and the edge flow agree to the last bit.
@@ -407,26 +439,27 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     // vectorize, and off-support entries recompute exactly w_zero, so
     // the clean-weights invariant survives), sparse over the sorted
     // support otherwise. Without a spec the generic callback runs over
-    // the support as before. All variants write bit-identical weights.
+    // the support as before. All variants write bit-identical weights,
+    // and all price the load b + x (the support covers b).
     {
       const auto t0 = Clock::now();
       if (env != nullptr && ws.x_support_.size() * 4 >= num_edges) {
-        dense_reprice(ws.weights_, x, *env, problem.min_edge_weight);
+        dense_reprice(ws.weights_, x, b, *env, problem.min_edge_weight);
         stats.edges_repriced += static_cast<std::int64_t>(num_edges);
       } else if (env != nullptr) {
         const EnvelopeCostSpec spec = *env;
         for (const EdgeId e : ws.x_support_) {
           const auto i = static_cast<std::size_t>(e);
           ws.weights_[i] =
-              std::max(spec.derivative(x[i]), problem.min_edge_weight);
+              std::max(spec.derivative(x[i] + b[i]), problem.min_edge_weight);
         }
         stats.edges_repriced +=
             static_cast<std::int64_t>(ws.x_support_.size());
       } else {
         for (const EdgeId e : ws.x_support_) {
           const auto i = static_cast<std::size_t>(e);
-          ws.weights_[i] =
-              std::max(problem.cost_derivative(x[i]), problem.min_edge_weight);
+          ws.weights_[i] = std::max(problem.cost_derivative(x[i] + b[i]),
+                                    problem.min_edge_weight);
         }
         stats.edges_repriced +=
             static_cast<std::int64_t>(ws.x_support_.size());
@@ -436,11 +469,12 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
 
     // Current objective in one pass over the sorted support (iterating
     // it reproduces a dense ascending-edge scan exactly, since
-    // zero-flow edges contribute exactly 0 to the objective).
+    // zero-load edges contribute exactly 0 to the objective).
     double current_cost = 0.0;
     for (const EdgeId e : ws.x_support_) {
-      const double xe = x[static_cast<std::size_t>(e)];
-      if (xe > 1e-15) current_cost += cost_value(xe);
+      const auto i = static_cast<std::size_t>(e);
+      const double load = x[i] + b[i];
+      if (load > 1e-15) current_cost += cost_value(load);
     }
 
     // Linearized subproblem: one cheapest path per commodity.
@@ -464,7 +498,8 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     // line-search restriction cost(t) = constant + sum over edges where
     // x and y differ, both accumulated in one ascending merge over the
     // two supports (off-support edges contribute exactly 0 to the gap
-    // and a constant 0 to the restriction).
+    // and a constant 0 to the restriction). The background cancels out
+    // of the gap and rides along in every restriction term.
     double gap = 0.0;
     double line_constant = 0.0;
     ws.line_search_diff_.clear();
@@ -488,9 +523,9 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
         const double ye = ws.y_mark_[idx] == ws.y_generation_ ? y[idx] : 0.0;
         gap += ws.weights_[idx] * (xe - ye);
         if (xe != ye) {
-          ws.line_search_diff_.emplace_back(xe, ye);
-        } else if (xe > 1e-15) {
-          line_constant += cost_value(xe);
+          ws.line_search_diff_.emplace_back(xe + b[idx], ye + b[idx]);
+        } else if (xe + b[idx] > 1e-15) {
+          line_constant += cost_value(xe + b[idx]);
         }
       }
     }
@@ -546,7 +581,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
         for (const EdgeId e : ws.dir_support_) {
           const auto i = static_cast<std::size_t>(e);
           if (ws.direction_[i] != 0.0) {
-            ws.dir_diff_.emplace_back(x[i], ws.direction_[i]);
+            ws.dir_diff_.emplace_back(x[i] + b[i], ws.direction_[i]);
           }
         }
         return !ws.dir_diff_.empty();
@@ -559,10 +594,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
           const auto i = static_cast<std::size_t>(e);
           if (ws.direction_[i] == 0.0) continue;
           x[i] = std::max(0.0, x[i] + t * ws.direction_[i]);
-          const double d = env != nullptr
-                               ? env->derivative(x[i])
-                               : problem.cost_derivative(x[i]);
-          ws.weights_[i] = std::max(d, problem.min_edge_weight);
+          ws.weights_[i] = marginal(x[i] + b[i]);
           ++stats.edges_repriced;
           touch_x(e);
         }
@@ -795,8 +827,9 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   // Final objective over the support (ascending, matching a dense scan).
   sol.cost = 0.0;
   for (const EdgeId e : ws.x_support_) {
-    const double xe = x[static_cast<std::size_t>(e)];
-    if (xe > 1e-15) sol.cost += cost_value(xe);
+    const auto i = static_cast<std::size_t>(e);
+    const double load = x[i] + b[i];
+    if (load > 1e-15) sol.cost += cost_value(load);
   }
 
   // Canonicalize the per-commodity rows for the caller: drop float
@@ -809,9 +842,12 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   // rebuilt per solve, so moving it out is free.
   if (atomic) sol.commodity_atoms = std::move(ws.atoms_);
 
-  // Restore the workspace invariant for the next solve.
+  // Restore the workspace invariants for the next solve (the support
+  // covers every background edge).
   for (const EdgeId e : ws.x_support_) {
-    ws.weights_[static_cast<std::size_t>(e)] = w_zero;
+    const auto i = static_cast<std::size_t>(e);
+    ws.weights_[i] = w_zero;
+    b[i] = 0.0;
   }
   ws.clean_ = true;
   sol.stats = stats;

@@ -24,6 +24,13 @@
 // related instances (consecutive intervals of Algorithm 2) allocates
 // per-solve memory proportional to the solution support only.
 //
+// A problem may carry a fixed per-edge background load b (flows that
+// are already routed and must not move): the solver then minimizes
+// sum_e cost(b_e + x_e) over the commodities alone. b enters the
+// marginal-cost pricing, the objective and the gap, but no step ever
+// moves it and no oracle sweep routes it — the online scheduler uses it
+// to re-solve only an event's arrivals against the flows in flight.
+//
 // Three step rules (FrankWolfeOptions::step_rule): the classic joint
 // convex-combination step, a pairwise rule over the per-commodity path
 // polytopes that maintains explicit active sets of path atoms and moves
@@ -99,7 +106,9 @@ struct EnvelopeCostSpec {
 /// [0, inf); `cost_derivative` its (sub)derivative. The solver floors
 /// shortest-path weights at `min_edge_weight` so that a zero marginal
 /// cost at x = 0 (pure speed scaling, sigma = 0) still yields
-/// shortest-hop-like, well-posed subproblems.
+/// shortest-hop-like, well-posed subproblems. The objective is
+/// sum_e cost(b_e + x_e), where b is the fixed `background` load (zero
+/// when empty).
 struct ConvexMcfProblem {
   const Graph* graph = nullptr;
   std::vector<Commodity> commodities;
@@ -113,6 +122,17 @@ struct ConvexMcfProblem {
   /// solver evaluates the spec in its hot loops and the callbacks stay
   /// as the generic fallback for non-envelope costs.
   std::optional<EnvelopeCostSpec> envelope;
+  /// Fixed background load b: (edge, value) pairs sorted by edge id,
+  /// each edge at most once, values > 0. It is priced, costed and
+  /// counted in the gap like commodity flow, but never moved; the
+  /// solution's rows and total_flow exclude it. Empty (the default)
+  /// solves exactly the plain problem, bit for bit.
+  SparseEdgeFlow background;
+  /// Optional CSR snapshot of `graph` for the oracle. When set, the
+  /// solver sweeps it instead of rebuilding its own — callers solving a
+  /// sequence of problems on one graph (the relaxation's intervals)
+  /// build it once. It must describe `graph` exactly.
+  const CsrAdjacency* adjacency = nullptr;
 };
 
 /// One path atom of the pairwise step rule's active sets: a candidate
@@ -231,9 +251,9 @@ struct ConvexMcfSolution {
   /// y[c]: sparse flow of commodity c, sorted by edge id, entries
   /// > 1e-15 only.
   std::vector<SparseEdgeFlow> commodity_flow;
-  /// x[e] = sum_c y[c][e].
+  /// x[e] = sum_c y[c][e] (the background load is not included).
   std::vector<double> total_flow;
-  /// sum_e cost(x_e).
+  /// sum_e cost(b_e + x_e).
   double cost = 0.0;
   /// Final relative Frank-Wolfe duality gap (upper bound on relative
   /// distance from the optimum); clamped to [0, inf) — float noise can
@@ -292,7 +312,7 @@ class ConvexMcfWorkspace {
 
   DijkstraWorkspace dijkstra_;
   /// Flat adjacency snapshot, rebuilt per solve (the graph is fixed for
-  /// a solve's duration).
+  /// a solve's duration) unless the problem supplies its own.
   CsrAdjacency csr_;
   /// Oracle worker pool + per-worker Dijkstra scratch; created lazily
   /// when oracle_threads requests parallelism.
@@ -305,6 +325,8 @@ class ConvexMcfWorkspace {
   double w_zero_ = std::numeric_limits<double>::quiet_NaN();
   /// Dense linearization-target flow; all-zero between solves.
   std::vector<double> target_total_;
+  /// Dense background load; all-zero between solves.
+  std::vector<double> background_;
   bool clean_ = false;
 
   // Per-solve scratch (contents regenerated; capacity reused).

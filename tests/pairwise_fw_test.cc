@@ -21,9 +21,9 @@
 //      solvers stays byte-identical for any --jobs (the classic rule's
 //      parallel solves are covered by sparse_equivalence tests).
 //
-// The departures-only fast path of the online scheduler rides along:
-// completions between arrivals must be handled by a single gap check,
-// not a full relaxation, and must not disturb admission invariants.
+// The online scheduler's departures ride along: with in-flight flows
+// entering every re-solve as fixed background load, completions between
+// arrivals need no relaxation at all and must not disturb admission.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,6 +36,8 @@
 #include "engine/scenario.h"
 #include "mcf/relaxation.h"
 #include "online/online_scheduler.h"
+#include "online/shard_plan.h"
+#include "online/sharded.h"
 #include "power/power_model.h"
 #include "topology/builders.h"
 
@@ -244,11 +246,11 @@ TEST(OnlineActiveFlowIndex, PeakInFlightTracksWavesNotTotals) {
   EXPECT_EQ(all.peak_in_flight, all.num_admitted);
 }
 
-TEST(OnlineDeparturesFastPath, CompletionWindowGetsGapCheckNotFullResolve) {
-  // Two events: {A, B} arrive at t = 0, C arrives at t = 50. A
-  // completes at t = 10 < 50 while B is still in flight, so the
-  // completion window must be handled by exactly one single-iteration
-  // gap check.
+TEST(OnlineDepartures, CompletionOnlyWindowRunsNoRelaxation) {
+  // Two arrival events: {A, B} at t = 0, C at t = 50. A completes at
+  // t = 10 while B is still in flight. A departure only removes
+  // background load from later re-solves, so the completion window runs
+  // no relaxation and no gap check: one solve per arrival event.
   const Topology topo = fat_tree(4);
   const std::vector<NodeId>& hosts = topo.hosts();
   std::vector<Flow> flows;
@@ -264,12 +266,25 @@ TEST(OnlineDeparturesFastPath, CompletionWindowGetsGapCheckNotFullResolve) {
   const OnlineResult r = online_dcfsr(topo.graph(), flows, model, rng, options);
 
   EXPECT_EQ(r.num_events, 2);
-  EXPECT_EQ(r.resolves, 2);  // full relaxations: one per arrival event
-  EXPECT_EQ(r.num_admitted, 3);
-  EXPECT_EQ(r.departure_gap_checks, 1);
-  // One interval (B alone over [10, 100]) checked with a budget of one
-  // iteration.
-  EXPECT_EQ(r.gap_check_iterations, 1);
+  EXPECT_EQ(r.resolves, 2);  // one per arrival event, none for the completion
+  EXPECT_EQ(r.departure_gap_checks, 0);
+  EXPECT_EQ(r.gap_check_iterations, 0);
+  EXPECT_EQ(r.admitted, std::vector<bool>({true, true, true}));
+
+  // Sharded: A and B share a source group, C has its own. At t = 50
+  // A's group has a completion but no arrival, so only C's group
+  // solves — resolves still counts exactly the (group, arrival event)
+  // pairs, and the admitted set is the flat one.
+  const ShardPlan plan = ShardPlan::by_source_group(topo, 0);
+  ASSERT_EQ(plan.group_of(flows[0]), plan.group_of(flows[1]));
+  ASSERT_NE(plan.group_of(flows[0]), plan.group_of(flows[2]));
+  Rng rng_sharded(17);
+  const OnlineResult s =
+      online_dcfsr_sharded(topo.graph(), flows, model, rng_sharded, options, plan);
+  EXPECT_EQ(s.num_events, 2);
+  EXPECT_EQ(s.resolves, 2);
+  EXPECT_EQ(s.departure_gap_checks, 0);
+  EXPECT_EQ(s.admitted, r.admitted);
 }
 
 }  // namespace
