@@ -301,14 +301,6 @@ BENCHMARK(BM_SolveRelaxationWarmPairwise)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SolveRelaxationWarmAway(benchmark::State& state) {
-  warm_resolve_bench(state, FrankWolfeStepRule::kAwayStep);
-}
-BENCHMARK(BM_SolveRelaxationWarmAway)
-    ->Args({8, 400})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_RandomScheduleFull(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   const Topology topo = fat_tree(8);

@@ -59,9 +59,10 @@ SolverOutcome finish_online_outcome(const std::string& solver,
   return out;
 }
 
-/// The online_dcfsr engine's deterministic counters, shared by the flat
-/// and the sharded solver.
-std::vector<std::pair<std::string, double>> online_dcfsr_stats(
+/// The relaxation and rounding counters every online_dcfsr-family
+/// solver reports (flat, sharded, and the hindsight oracle); all
+/// deterministic.
+std::vector<std::pair<std::string, double>> relaxation_stats(
     const OnlineResult& r) {
   return {{"resolves", static_cast<double>(r.resolves)},
           {"fw_iterations", static_cast<double>(r.fw_iterations)},
@@ -71,12 +72,20 @@ std::vector<std::pair<std::string, double>> online_dcfsr_stats(
           {"first_lb", r.first_lower_bound},
           {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
           {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
-          {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
-          // Re-rate diagnostics (all zero unless allow_rerate):
-          // deterministic, the pass consumes no rng.
-          {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
-          {"rerate_commits", static_cast<double>(r.rerate_commits)},
-          {"rerated_flows", static_cast<double>(r.rerated_flows)}};
+          {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)}};
+}
+
+/// The online_dcfsr engine's deterministic counters, shared by the flat
+/// and the sharded solver.
+std::vector<std::pair<std::string, double>> online_dcfsr_stats(
+    const OnlineResult& r) {
+  std::vector<std::pair<std::string, double>> out = relaxation_stats(r);
+  // Re-rate diagnostics (all zero unless allow_rerate): deterministic,
+  // the pass consumes no rng.
+  out.emplace_back("rerate_attempts", static_cast<double>(r.rerate_attempts));
+  out.emplace_back("rerate_commits", static_cast<double>(r.rerate_commits));
+  out.emplace_back("rerated_flows", static_cast<double>(r.rerated_flows));
+  return out;
 }
 
 }  // namespace
@@ -304,22 +313,14 @@ SolverOutcome OracleDcfsrSolver::solve(const Instance& instance) const {
   Rng rng = solver_rng(instance, "dcfsr");
   OnlineResult r = oracle_dcfsr(instance.graph(), instance.flows(),
                                 instance.model(), rng, options_);
-  const std::vector<std::pair<std::string, double>> extra = {
-      {"resolves", static_cast<double>(r.resolves)},
-      {"fw_iterations", static_cast<double>(r.fw_iterations)},
-      {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
-      {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
-      {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
-      {"first_lb", r.first_lower_bound},
-      {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
-      {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
-      {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
-      // Admitted counts of the two contended fallback orders (-1 when
-      // the joint rounding was feasible and no fallback ran); the
-      // oracle committed whichever order admitted more.
-      {"oracle_rcd_admitted", static_cast<double>(r.oracle_rcd_admitted)},
-      {"oracle_density_admitted",
-       static_cast<double>(r.oracle_density_admitted)}};
+  std::vector<std::pair<std::string, double>> extra = relaxation_stats(r);
+  // Admitted counts of the two contended fallback orders (-1 when the
+  // joint rounding was feasible and no fallback ran); the oracle
+  // committed whichever order admitted more.
+  extra.emplace_back("oracle_rcd_admitted",
+                     static_cast<double>(r.oracle_rcd_admitted));
+  extra.emplace_back("oracle_density_admitted",
+                     static_cast<double>(r.oracle_density_admitted));
   SolverOutcome out = finish_online_outcome(name(), instance, std::move(r));
   out.stats.insert(out.stats.end(), extra.begin(), extra.end());
   return out;

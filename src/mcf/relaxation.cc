@@ -30,6 +30,10 @@ struct EdgeSeqHash {
 using PathAccumulator =
     std::unordered_map<std::vector<EdgeId>, double, EdgeSeqHash>;
 
+/// Tolerance of the Raghavan-Tompson path decomposition that extracts
+/// candidates from a solve's rows when it hands back no atoms.
+constexpr double kDecompositionTolerance = 1e-9;
+
 }  // namespace
 
 FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& flows,
@@ -37,7 +41,6 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
                                       const RelaxationOptions& options,
                                       RelaxationWorkspace* workspace,
                                       const std::vector<SparseEdgeFlow>* warm_by_flow,
-                                      const std::vector<AtomSet>* warm_atoms_by_flow,
                                       const std::vector<SparseEdgeFlow>* background_by_flow) {
   validate_flows(g, flows);
   FractionalRelaxation out;
@@ -55,17 +58,13 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     DCN_EXPECTS(warm_by_flow->size() == flows.size());
     prev_flow_by_flow = *warm_by_flow;
   }
-  // Atom carry-over (atom step rules): per flow, the path-atom
+  // Atom carry-over (pairwise rule): per flow, the path-atom
   // decomposition matching prev_flow_by_flow, threaded across intervals
-  // (and, via the caller, across whole re-solves) so each interval
-  // solve seeds its active sets without re-decomposing the warm rows.
-  const bool atomic =
-      options.frank_wolfe.step_rule != FrankWolfeStepRule::kClassic;
+  // so each interval solve seeds its active sets without re-decomposing
+  // the warm rows.
+  const bool pairwise =
+      options.frank_wolfe.step_rule == FrankWolfeStepRule::kPairwise;
   std::vector<AtomSet> prev_atoms_by_flow(flows.size());
-  if (atomic && warm_atoms_by_flow != nullptr) {
-    DCN_EXPECTS(warm_atoms_by_flow->size() == flows.size());
-    prev_atoms_by_flow = *warm_atoms_by_flow;
-  }
   std::vector<AtomSet> interval_atoms;
 
   // Fixed flows (a non-empty background row): their rows are the
@@ -82,7 +81,6 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     if (!is_fixed(fid)) continue;
     any_fixed = true;
     prev_flow_by_flow[fid] = (*background_by_flow)[fid];
-    prev_atoms_by_flow[fid].clear();
   }
   const bool loaded_init = warm_by_flow != nullptr || background_by_flow != nullptr;
 
@@ -244,11 +242,11 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
       lo = hi;
     }
 
-    // Carried atoms for this interval's commodities (atom rules only):
+    // Carried atoms for this interval's commodities (pairwise only):
     // flows active in the previous interval hand their active sets
     // straight to the solver.
     const std::vector<AtomSet>* atoms_in = nullptr;
-    if (atomic) {
+    if (pairwise) {
       interval_atoms.assign(active.size(), {});
       for (std::size_t c = 0; c < active.size(); ++c) {
         const auto fid = static_cast<std::size_t>(active[c]);
@@ -268,7 +266,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
       ++solved_intervals;
     }
 
-    // Aggregate wbar per active flow. An atom-rule solve already carries
+    // Aggregate wbar per active flow. A pairwise solve already carries
     // the path decomposition — its final active sets — so the atoms are
     // read off directly (normalized over the set, matching the
     // decomposition's sum-to-1 contract); a classic solve runs the
@@ -279,7 +277,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
       const Flow& fl = flows[fid];
       const double interval_share =
           dec.intervals[k].measure() / (fl.deadline - fl.release);
-      if (atomic && !sol.commodity_atoms[c].empty()) {
+      if (pairwise && !sol.commodity_atoms[c].empty()) {
         double total_weight = 0.0;
         for (const PathAtom& atom : sol.commodity_atoms[c]) {
           total_weight += atom.weight;
@@ -292,7 +290,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
       } else {
         const std::vector<WeightedPath> paths = decompose_flow_sparse(
             g, fl.src, fl.dst, sol.commodity_flow[c], fl.density(),
-            options.decomposition_tolerance, &decomposition_workspace);
+            kDecompositionTolerance, &decomposition_workspace);
         for (const WeightedPath& wp : paths) {
           accum[fid][wp.path.edges] += wp.weight * interval_share;
         }
@@ -304,7 +302,6 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   out.mean_relative_gap =
       solved_intervals > 0 ? gap_sum / static_cast<double>(solved_intervals) : 0.0;
   out.final_flow = std::move(prev_flow_by_flow);
-  out.final_atoms = std::move(prev_atoms_by_flow);
 
   // Materialize candidates with normalized wbar. The hashed accumulator
   // is unordered, so sort candidates lexicographically by edge sequence

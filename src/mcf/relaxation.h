@@ -48,11 +48,8 @@ struct RelaxationOptions {
   /// caller's carried rows — seed the per-commodity active sets the
   /// sweeps move mass between) *and* certifies cold solves past the
   /// classic rule's last-mile stall. kClassic remains selectable for
-  /// the v1 trajectory; kAwayStep is the textbook away-step variant.
-  /// See FrankWolfeStepRule.
+  /// the v1 trajectory. See FrankWolfeStepRule.
   FrankWolfeOptions frank_wolfe;
-  /// Tolerance passed to the path decomposition.
-  double decomposition_tolerance = 1e-9;
 };
 
 struct FractionalRelaxation {
@@ -80,14 +77,6 @@ struct FractionalRelaxation {
   /// load once it is admitted. A fixed flow's entry is its background
   /// row, unchanged.
   std::vector<SparseEdgeFlow> final_flow;
-  /// Per flow: the path-atom decomposition of final_flow from the same
-  /// last interval — populated only when the solve stepped with an
-  /// atom rule (pairwise or away-step; empty sets under kClassic).
-  /// Feeding these back via
-  /// `warm_atoms_by_flow` lets the next re-solve seed its active sets
-  /// directly instead of re-running Raghavan-Tompson on the warm rows,
-  /// and preserves atom identity across the online scheduler's events.
-  std::vector<AtomSet> final_atoms;
 };
 
 /// Reusable scratch for solve_relaxation: the Frank-Wolfe workspace,
@@ -115,20 +104,13 @@ struct RelaxationWorkspace {
 /// residual re-solves, see src/online). Empty rows fall back to the
 /// cold start.
 ///
-/// `warm_atoms_by_flow`, when non-null (one atom set per flow; atom
-/// step rules only), carries each flow's active-set decomposition from a
-/// previous related solve (`final_atoms`): a non-empty set seeds the
-/// flow's first interval solve directly — no Raghavan-Tompson pass over
-/// its warm row — and must decompose exactly the flow's density. Empty
-/// sets fall back to decomposing the warm row.
-///
 /// `background_by_flow`, when non-null, must have one sparse row per
 /// flow (sorted by edge id); a non-empty row makes that flow *fixed*:
 /// in every interval it is active in, its row enters the interval's
 /// F-MCF as background load — priced and costed, never moved, never
 /// routed by an oracle sweep — and only the other flows are
 /// commodities. A fixed flow's final_flow is its row verbatim, its
-/// candidates and final_atoms are empty, and its warm row is ignored.
+/// candidates are empty, and its warm row is ignored.
 /// As with `warm_by_flow`, new flows start on cheapest paths against
 /// the loaded network (the background plus the rows carried into the
 /// interval). The row should route the flow's density from src to dst
@@ -139,7 +121,6 @@ struct RelaxationWorkspace {
     const Graph& g, const std::vector<Flow>& flows, const PowerModel& model,
     const RelaxationOptions& options = {}, RelaxationWorkspace* workspace = nullptr,
     const std::vector<SparseEdgeFlow>* warm_by_flow = nullptr,
-    const std::vector<AtomSet>* warm_atoms_by_flow = nullptr,
     const std::vector<SparseEdgeFlow>* background_by_flow = nullptr);
 
 }  // namespace dcn

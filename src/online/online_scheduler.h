@@ -186,7 +186,6 @@ struct OnlineResult {
   /// fixed background load, so no departures-only gap check runs. Kept
   /// for readers of the field; not part of the engine's stats.
   std::int32_t departure_gap_checks = 0;
-  std::int64_t gap_check_iterations = 0;  // always 0, as above
   /// Per-phase Frank-Wolfe work summed over every relaxation call this
   /// run made. The
   /// counters are deterministic — byte-identical across --jobs and

@@ -222,7 +222,7 @@ void ShardedScheduler::phase_a(GroupState& gs,
   }
   p.relax = solve_relaxation(g_, *relax_flows, model_,
                              options_.rounding.relaxation, &gs.workspace,
-                             nullptr, nullptr, &background);
+                             nullptr, &background);
   p.solved = true;
   p.fw_iterations += p.relax.total_fw_iterations;
   p.fw_stats += p.relax.fw_stats;

@@ -1,7 +1,9 @@
 // Tests for the Frank-Wolfe convex multi-commodity flow solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "opt/convex_mcf.h"
 #include "power/power_model.h"
@@ -174,6 +176,80 @@ TEST(ConvexMcf, ContractsOnBadProblem) {
   p.commodities = {{0, 1, 1.0}};
   p.cost = nullptr;
   EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
+}
+
+TEST(ConvexMcf, BackgroundContractsHoldWithoutCommodities) {
+  // The background is validated even when there is nothing to route.
+  const Topology topo = line_network(3);
+  ConvexMcfProblem p = quadratic_problem(topo.graph());
+  p.background = {{9999, 1.0}, {0, -2.0}};
+  EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
+  p.background = {{9999, 1.0}};  // no such edge
+  EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
+  p.background = {{0, -2.0}};  // non-positive load
+  EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
+  p.background = {{0, 1.0}, {0, 1.0}};  // an edge listed twice
+  EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
+  p.background = {{0, 1.0}, {1, 2.0}};
+  EXPECT_DOUBLE_EQ(solve_convex_mcf(p).cost, 5.0);
+}
+
+TEST(ConvexMcf, CarriedAtomsResolveFromOwnSolutionInOneIteration) {
+  // A pairwise solve hands out its active sets alongside its rows;
+  // re-solving from both must stop at the first gap check with the
+  // atoms intact — no Raghavan-Tompson pass, no drift.
+  const Topology topo = fat_tree(4);
+  ConvexMcfProblem p = quadratic_problem(topo.graph());
+  for (int i = 0; i < 6; ++i) {
+    p.commodities.push_back(
+        {topo.hosts()[static_cast<std::size_t>(i)],
+         topo.hosts()[static_cast<std::size_t>(15 - i)], 1.0 + i});
+  }
+  FrankWolfeOptions opts;
+  opts.step_rule = FrankWolfeStepRule::kPairwise;
+  opts.max_iterations = 400;
+  opts.gap_tolerance = 1e-6;
+  const auto first = solve_convex_mcf(p, opts);
+  ASSERT_GT(first.iterations, 1);  // the first solve did real work
+  ASSERT_LE(first.relative_gap, opts.gap_tolerance);
+  ASSERT_EQ(first.commodity_atoms.size(), p.commodities.size());
+  std::size_t most_atoms = 0;
+  for (const AtomSet& atoms : first.commodity_atoms) {
+    most_atoms = std::max(most_atoms, atoms.size());
+  }
+  ASSERT_GT(most_atoms, 1u);  // some commodity splits over several paths
+
+  // The atoms are a consistent decomposition: weights sum to the
+  // demand and the edge-sums reproduce the rows.
+  for (std::size_t c = 0; c < p.commodities.size(); ++c) {
+    ASSERT_FALSE(first.commodity_atoms[c].empty()) << c;
+    double total = 0.0;
+    std::map<EdgeId, double> by_edge;
+    for (const PathAtom& atom : first.commodity_atoms[c]) {
+      total += atom.weight;
+      for (const EdgeId e : atom.edges) by_edge[e] += atom.weight;
+    }
+    EXPECT_NEAR(total, p.commodities[c].demand, 1e-9) << c;
+    for (const auto& [e, v] : first.commodity_flow[c]) {
+      EXPECT_NEAR(by_edge[e], v, 1e-9) << "commodity " << c << " edge " << e;
+    }
+  }
+
+  const auto warm = solve_convex_mcf(p, opts, &first.commodity_flow, nullptr,
+                                     &first.commodity_atoms);
+  EXPECT_EQ(warm.iterations, 1);
+  EXPECT_NEAR(warm.cost, first.cost, 1e-9 * first.cost);
+  ASSERT_EQ(warm.commodity_atoms.size(), first.commodity_atoms.size());
+  for (std::size_t c = 0; c < warm.commodity_atoms.size(); ++c) {
+    ASSERT_EQ(warm.commodity_atoms[c].size(), first.commodity_atoms[c].size())
+        << c;
+    for (std::size_t a = 0; a < warm.commodity_atoms[c].size(); ++a) {
+      EXPECT_EQ(warm.commodity_atoms[c][a].edges,
+                first.commodity_atoms[c][a].edges);
+      EXPECT_NEAR(warm.commodity_atoms[c][a].weight,
+                  first.commodity_atoms[c][a].weight, 1e-12);
+    }
+  }
 }
 
 }  // namespace

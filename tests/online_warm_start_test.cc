@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "engine/instance.h"
@@ -42,9 +41,9 @@ engine::Instance incast_instance() {
 
 TEST(RelaxationWarmStart, ResolveFromOwnSolutionStopsAtFirstGapCheck) {
   const engine::Instance instance = incast_instance();
-  // Rows-only bit-exactness is a classic-rule contract: the atom rules
-  // re-decompose warm rows (discarding sub-tolerance dust), so their
-  // exact counterpart is the carried-atoms test below.
+  // Rows-only bit-exactness is a classic-rule contract: the pairwise
+  // rule re-decomposes warm rows (discarding sub-tolerance dust), so its
+  // exact counterpart is the carried-atoms test in convex_mcf_test.
   RelaxationOptions options = tight_options();
   options.frank_wolfe.step_rule = FrankWolfeStepRule::kClassic;
 
@@ -129,55 +128,6 @@ TEST(RelaxationWarmStart, IncrementalResolveAfterOneArrivalIsStrictlyCheaper) {
               2.0 * options.frank_wolfe.gap_tolerance * cold.lower_bound_energy);
   EXPECT_LE(warm.mean_relative_gap, options.frank_wolfe.gap_tolerance);
   EXPECT_LE(cold.mean_relative_gap, options.frank_wolfe.gap_tolerance);
-}
-
-TEST(RelaxationWarmStart, CarriedAtomsResolveFromOwnSolutionInOneIteration) {
-  // The atom carry-over analog of the exactness claim above: a pairwise
-  // solve hands out final_atoms alongside final_flow; re-solving with
-  // both carried must terminate on the first gap check with the atom
-  // sets intact — no Raghavan-Tompson pass, no drift.
-  const engine::Instance instance = incast_instance();
-  RelaxationOptions options = tight_options();
-  options.frank_wolfe.step_rule = FrankWolfeStepRule::kPairwise;
-
-  RelaxationWorkspace workspace;
-  const FractionalRelaxation first = solve_relaxation(
-      instance.graph(), instance.flows(), instance.model(), options, &workspace);
-  ASSERT_EQ(first.final_atoms.size(), instance.flows().size());
-
-  // The atoms are a consistent decomposition: weights sum to the flow's
-  // density and edge-sums reproduce the final rows.
-  for (std::size_t i = 0; i < first.final_atoms.size(); ++i) {
-    ASSERT_FALSE(first.final_atoms[i].empty()) << i;
-    double total = 0.0;
-    std::map<EdgeId, double> by_edge;
-    for (const PathAtom& atom : first.final_atoms[i]) {
-      total += atom.weight;
-      for (const EdgeId e : atom.edges) by_edge[e] += atom.weight;
-    }
-    EXPECT_NEAR(total, instance.flows()[i].density(), 1e-9) << i;
-    for (const auto& [e, v] : first.final_flow[i]) {
-      EXPECT_NEAR(by_edge[e], v, 1e-9) << "flow " << i << " edge " << e;
-    }
-  }
-
-  const FractionalRelaxation warm = solve_relaxation(
-      instance.graph(), instance.flows(), instance.model(), options, &workspace,
-      &first.final_flow, &first.final_atoms);
-  EXPECT_EQ(warm.total_fw_iterations, 1);
-  EXPECT_NEAR(warm.lower_bound_energy, first.lower_bound_energy,
-              1e-9 * first.lower_bound_energy);
-
-  // Atom identity survives the carried re-solve.
-  ASSERT_EQ(warm.final_atoms.size(), first.final_atoms.size());
-  for (std::size_t i = 0; i < warm.final_atoms.size(); ++i) {
-    ASSERT_EQ(warm.final_atoms[i].size(), first.final_atoms[i].size()) << i;
-    for (std::size_t a = 0; a < warm.final_atoms[i].size(); ++a) {
-      EXPECT_EQ(warm.final_atoms[i][a].edges, first.final_atoms[i][a].edges);
-      EXPECT_NEAR(warm.final_atoms[i][a].weight,
-                  first.final_atoms[i][a].weight, 1e-12);
-    }
-  }
 }
 
 TEST(RelaxationWarmStart, SharedWorkspaceLeaksNoStateBetweenInstances) {

@@ -1,4 +1,4 @@
-// Pairwise (away-step) Frank-Wolfe — the repair for the warm-start
+// Pairwise Frank-Wolfe — the repair for the warm-start
 // last-mile stall.
 //
 // Three claims are pinned here:
@@ -268,7 +268,6 @@ TEST(OnlineDepartures, CompletionOnlyWindowRunsNoRelaxation) {
   EXPECT_EQ(r.num_events, 2);
   EXPECT_EQ(r.resolves, 2);  // one per arrival event, none for the completion
   EXPECT_EQ(r.departure_gap_checks, 0);
-  EXPECT_EQ(r.gap_check_iterations, 0);
   EXPECT_EQ(r.admitted, std::vector<bool>({true, true, true}));
 
   // Sharded: A and B share a source group, C has its own. At t = 50

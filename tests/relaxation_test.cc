@@ -158,14 +158,14 @@ TEST(RelaxationBackground, EmptyBackgroundIsTodaysSolve) {
   ExpectSameRelaxation(
       solve_relaxation(topo.graph(), flows, model, options, nullptr, &empty),
       solve_relaxation(topo.graph(), flows, model, options, nullptr, nullptr,
-                       nullptr, &empty));
+                       &empty));
 
   std::vector<Flow> together = flows;
   for (Flow& fl : together) fl.release = 0.0;
   ExpectSameRelaxation(
       solve_relaxation(topo.graph(), together, model, options),
       solve_relaxation(topo.graph(), together, model, options, nullptr,
-                       nullptr, nullptr, &empty));
+                       nullptr, &empty));
 }
 
 TEST(RelaxationBackground, LoadOnACorePathSteersTheArrivalOffIt) {
@@ -189,7 +189,7 @@ TEST(RelaxationBackground, LoadOnACorePathSteersTheArrivalOffIt) {
                                 {1, src, dst, 4.0, 0.0, 4.0}};
   const std::vector<SparseEdgeFlow> background{RowOf(heaviest->path, 1.0), {}};
   const FractionalRelaxation loaded = solve_relaxation(
-      g, flows, model, {}, nullptr, nullptr, nullptr, &background);
+      g, flows, model, {}, nullptr, nullptr, &background);
   double weight_there = 0.0;
   for (const WeightedPath& wp : loaded.candidates[1].paths) {
     if (wp.path == heaviest->path) weight_there = wp.weight;
@@ -218,7 +218,7 @@ TEST(RelaxationBackground, FixedRowsComeBackUnchangedAndCostNoSweeps) {
 
   // Every flow fixed: nothing to route.
   const FractionalRelaxation fixed_only = solve_relaxation(
-      g, flows, model, {}, nullptr, nullptr, nullptr, &background);
+      g, flows, model, {}, nullptr, nullptr, &background);
   EXPECT_EQ(fixed_only.fw_stats.oracle_sweeps, 0);
   EXPECT_EQ(fixed_only.total_fw_iterations, 0);
   EXPECT_EQ(fixed_only.final_flow, background);
@@ -232,11 +232,10 @@ TEST(RelaxationBackground, FixedRowsComeBackUnchangedAndCostNoSweeps) {
   flows.push_back({4, hosts[4], hosts[11], 6.0, 0.0, 3.0});
   background.emplace_back();
   const FractionalRelaxation relax = solve_relaxation(
-      g, flows, model, {}, nullptr, nullptr, nullptr, &background);
+      g, flows, model, {}, nullptr, nullptr, &background);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(relax.final_flow[i], background[i]) << i;
     EXPECT_TRUE(relax.candidates[i].paths.empty()) << i;
-    EXPECT_TRUE(relax.final_atoms[i].empty()) << i;
   }
   EXPECT_FALSE(relax.candidates[4].paths.empty());
   EXPECT_GT(relax.total_fw_iterations, 0);
